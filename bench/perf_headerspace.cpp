@@ -52,8 +52,8 @@ const Workload& workload() {
 }
 
 // ACL lowering + self-equivalence: the subtract/emptiness path on every
-// access list in the workload, the inner loop of RD050 and of equivalence
-// queries.
+// access list in the workload, the inner loop of HeaderSpace's filter
+// lowering and of equivalence queries.
 void BM_AclSelfEquivalence(benchmark::State& state) {
   const auto& w = workload();
   std::size_t acls = 0;

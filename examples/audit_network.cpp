@@ -59,7 +59,7 @@ static int run(int argc, char** argv) {
           "\n"
           "Audit a network's router configurations: inventory, design\n"
           "classification, vulnerability assessment, and the unified\n"
-          "design-rule engine (rdlint rules RD001..RD052). With no\n"
+          "design-rule engine (rdlint rules RD001..RD064). With no\n"
           "config-dir a managed enterprise is generated and audited.\n"
           "\n"
           "options:\n"

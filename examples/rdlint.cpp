@@ -1,7 +1,8 @@
 // rdlint: the unified design-rule CLI (paper §8 static analysis).
 //
-// Runs every registered design rule (RD001..RD052: lint, cross-router
-// consistency, vulnerability assessment, and the cross-router design rules)
+// Runs every registered design rule (RD001..RD064: lint, cross-router
+// consistency, vulnerability assessment, the cross-router design rules, the
+// symbolic header-space rules, and route-redistribution safety)
 // over a network's configuration files and reports the findings with source
 // provenance (file + line). Inline "! rdlint-disable <RDid>" comments in a
 // config suppress that rule's findings for that router.
@@ -69,7 +70,7 @@ void print_usage() {
   std::printf(
       "usage: rdlint [options] [<config-dir> ...]\n"
       "\n"
-      "Run the design-rule engine (RD001..RD052) over router\n"
+      "Run the design-rule engine (RD001..RD064) over router\n"
       "configurations. With no directory a managed enterprise is\n"
       "generated and linted; with several directories they are treated\n"
       "as ordered snapshots of one network and each transition is\n"
@@ -188,17 +189,20 @@ static int run(int argc, char** argv) {
     std::fprintf(stderr, "(linting a generated managed enterprise; pass a "
                          "config directory to lint your own network)\n");
   } else if (dirs.size() == 1) {
-    // Single network: parse through synth::load_network so every finding
-    // carries its config file name.
+    // Single network: the cached build with file-name provenance, the
+    // construction audit_network and rdd share, so every finding carries
+    // its config file name.
     name = dirs[0].filename().string();
     if (name.empty()) name = dirs[0].string();
-    auto configs = synth::load_network(dirs[0]);
-    if (configs.empty()) {
+    const auto loaded = synth::load_network_texts_named(dirs[0]);
+    if (loaded.texts.empty()) {
       std::fprintf(stderr, "no configuration files in %s\n",
                    dirs[0].string().c_str());
       return 2;
     }
-    network = model::Network::build(std::move(configs));
+    pipeline::ParseCache cache;
+    network = pipeline::build_network_cached(loaded.texts, loaded.names,
+                                             cache, pool);
     result = engine.run(*network, pool);
   } else {
     // Snapshot series: unchanged routers cost one hash, not one parse.

@@ -10,22 +10,6 @@ namespace rd::analysis {
 
 namespace {
 
-/// Remove `hole` from a disjoint prefix set, splitting pieces as needed.
-void subtract_prefix(std::vector<ip::Prefix>& region, const ip::Prefix& hole) {
-  std::vector<ip::Prefix> out;
-  out.reserve(region.size());
-  for (const auto& piece : region) {
-    if (hole.contains(piece)) continue;
-    if (piece.contains(hole)) {
-      auto parts = model::prefix_difference(piece, hole);
-      out.insert(out.end(), parts.begin(), parts.end());
-    } else {
-      out.push_back(piece);
-    }
-  }
-  region = std::move(out);
-}
-
 /// Intersection of two disjoint prefix sets: for every overlapping pair the
 /// longer prefix is the intersection, and distinct pairs stay disjoint.
 std::vector<ip::Prefix> intersect_spaces(const std::vector<ip::Prefix>& a,
@@ -122,7 +106,7 @@ HeaderSpace::HeaderSpace(const model::Network& network,
         continue;
       }
       if (it->subnet.length() < s.length()) continue;  // shorter never wins
-      subtract_prefix(region, it->subnet);
+      model::subtract_prefix(region, it->subnet);
       if (region.empty()) break;
     }
     std::sort(region.begin(), region.end());
@@ -311,7 +295,7 @@ std::vector<IntentOutcome> HeaderSpace::verify(
       ip::Prefix(ip::Ipv4Address(0u), 0)};
   for (const auto& itf : network_.interfaces()) {
     if (!itf.subnet) continue;
-    subtract_prefix(unattached_universe, *itf.subnet);
+    model::subtract_prefix(unattached_universe, *itf.subnet);
     if (unattached_universe.empty()) break;
   }
   std::sort(unattached_universe.begin(), unattached_universe.end());

@@ -405,21 +405,6 @@ bool lint_already_flags(const config::AccessList& acl, std::size_t i) {
   return false;
 }
 
-void subtract_piece(std::vector<ip::Prefix>& region, const ip::Prefix& hole) {
-  std::vector<ip::Prefix> out;
-  out.reserve(region.size());
-  for (const auto& piece : region) {
-    if (hole.contains(piece)) continue;
-    if (piece.contains(hole)) {
-      auto parts = model::prefix_difference(piece, hole);
-      out.insert(out.end(), parts.begin(), parts.end());
-    } else {
-      out.push_back(piece);
-    }
-  }
-  region = std::move(out);
-}
-
 ip::Prefix acl_rule_source_region(const config::AclRule& rule) {
   return rule.any_source ? ip::Prefix(ip::Ipv4Address(0u), 0) : rule.source;
 }
@@ -435,8 +420,7 @@ std::vector<Finding> rule_shadowed_acl_entry(const RuleContext& ctx) {
         // Packet semantics: exact cross-product regions over
         // (src, dst, protocol, port), as acl_permits_packet evaluates them.
         model::ProtocolDomain domain;
-        const model::SymbolicPacketFilter symbolic(acl, domain);
-        for (const std::size_t i : symbolic.shadowed()) {
+        for (const std::size_t i : model::shadowed_clauses(acl, domain)) {
           if (lint_already_flags(acl, i)) continue;
           out.push_back(make_finding(
               r, acl.id,
@@ -466,7 +450,7 @@ std::vector<Finding> rule_shadowed_acl_entry(const RuleContext& ctx) {
                     "its source space)",
                 acl.rules[i].line));
           }
-          subtract_piece(remaining, region);
+          model::subtract_prefix(remaining, region);
         }
       }
     }
@@ -505,7 +489,7 @@ model::HeaderPredicate acl_route_region(const config::AccessList& acl) {
         permitted.unite(atom);
       }
     }
-    subtract_piece(remaining, region);
+    model::subtract_prefix(remaining, region);
     if (remaining.empty()) break;
   }
   permitted.normalize();
@@ -601,7 +585,7 @@ std::vector<Finding> rule_dead_route_map_clause(const RuleContext& ctx) {
               label + " can never match: its match conditions are "
                       "unsatisfiable (no referenced list matches any route)",
               clause.line));
-        } else if (region.subtract(covered).is_empty()) {
+        } else if (covered.covers(region)) {
           out.push_back(make_finding(
               r, rm.name,
               label + " can never be reached: earlier clauses match every "

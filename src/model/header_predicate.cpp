@@ -55,37 +55,35 @@ void for_each_prefix_difference(const ip::Prefix& a, const ip::Prefix& b,
   for (int i = n - 1; i >= 0; --i) emit(buf[i]);
 }
 
-/// Appends the disjoint pieces of `have \ hole` (hole = a non-empty
-/// atom_intersect(have, atom)) to `out` — the coordinate-peeling step
-/// shared by subtract() and subtract_in_place(), kept byte-identical
-/// between the two.
-void append_peeled_pieces(const HeaderAtom& have, const HeaderAtom& hole,
-                          std::vector<HeaderAtom>& out) {
+/// Emits the disjoint pieces of `have \ hole` (hole = a non-empty
+/// atom_intersect(have, atom)) — the coordinate-peeling step shared by
+/// subtract(), subtract_in_place() and the cover search, so all three walk
+/// one piece tree.
+template <typename Emit>
+void for_each_peeled_piece(const HeaderAtom& have, const HeaderAtom& hole,
+                           Emit&& emit) {
   // Peel the atom coordinate by coordinate: each piece keeps the hole's
   // coordinates on the dimensions already peeled and the atom's on the
   // rest, so the pieces are disjoint and their union is `have \ hole`.
-  // Pieces are appended without unite()'s cover scan — they are disjoint
-  // by construction, and the scan turns peeling quadratic on the
-  // multi-thousand-atom predicates ACL lowering produces.
   for_each_prefix_difference(have.source, hole.source,
                              [&](const ip::Prefix& src) {
                                HeaderAtom piece = have;
                                piece.source = src;
-                               out.push_back(piece);
+                               emit(piece);
                              });
   for_each_prefix_difference(have.destination, hole.destination,
                              [&](const ip::Prefix& dst) {
                                HeaderAtom piece = have;
                                piece.source = hole.source;
                                piece.destination = dst;
-                               out.push_back(piece);
+                               emit(piece);
                              });
   if (const std::uint64_t rest = have.protocols & ~hole.protocols) {
     HeaderAtom piece = have;
     piece.source = hole.source;
     piece.destination = hole.destination;
     piece.protocols = rest;
-    out.push_back(piece);
+    emit(piece);
   }
   if (have.port_lo < hole.port_lo) {
     HeaderAtom piece = have;
@@ -93,7 +91,7 @@ void append_peeled_pieces(const HeaderAtom& have, const HeaderAtom& hole,
     piece.destination = hole.destination;
     piece.protocols = hole.protocols;
     piece.port_hi = hole.port_lo - 1;
-    out.push_back(piece);
+    emit(piece);
   }
   if (have.port_hi > hole.port_hi) {
     HeaderAtom piece = have;
@@ -101,8 +99,17 @@ void append_peeled_pieces(const HeaderAtom& have, const HeaderAtom& hole,
     piece.destination = hole.destination;
     piece.protocols = hole.protocols;
     piece.port_lo = hole.port_hi + 1;
-    out.push_back(piece);
+    emit(piece);
   }
+}
+
+/// Appends the peeled pieces to `out` without unite()'s cover scan — they
+/// are disjoint by construction, and the scan turns peeling quadratic on
+/// the multi-thousand-atom predicates ACL lowering produces.
+void append_peeled_pieces(const HeaderAtom& have, const HeaderAtom& hole,
+                          std::vector<HeaderAtom>& out) {
+  for_each_peeled_piece(
+      have, hole, [&](const HeaderAtom& piece) { out.push_back(piece); });
 }
 
 }  // namespace
@@ -144,18 +151,32 @@ std::string_view ProtocolDomain::bit_name(int bit) const noexcept {
 
 std::vector<ip::Prefix> prefix_difference(const ip::Prefix& a,
                                           const ip::Prefix& b) {
-  if (b.contains(a)) return {};
-  if (!a.contains(b)) return {a};
-  // b is a strict sub-prefix of a: the difference is the buddy at every
-  // level on the path from b up to (but excluding) a.
   std::vector<ip::Prefix> out;
-  ip::Prefix cursor = b;
-  while (cursor.length() > a.length()) {
-    out.push_back(cursor.buddy());
-    cursor = cursor.parent();
-  }
-  std::sort(out.begin(), out.end());
+  for_each_prefix_difference(
+      a, b, [&](const ip::Prefix& piece) { out.push_back(piece); });
   return out;
+}
+
+void subtract_prefix(std::vector<ip::Prefix>& region, const ip::Prefix& hole) {
+  // Drop the pieces the hole swallows, in place. The pieces are pairwise
+  // disjoint, so at most one strictly contains the hole; it alone splits,
+  // and its difference takes its slot.
+  std::size_t kept = 0;
+  std::size_t split = region.size();
+  for (const ip::Prefix piece : region) {
+    if (hole.contains(piece)) continue;
+    if (piece.contains(hole)) split = kept;
+    region[kept++] = piece;
+  }
+  region.resize(kept);
+  if (split >= kept) return;
+  ip::Prefix parts[32];
+  int n = 0;
+  for_each_prefix_difference(
+      region[split], hole, [&](const ip::Prefix& part) { parts[n++] = part; });
+  region[split] = parts[0];
+  region.insert(region.begin() + static_cast<std::ptrdiff_t>(split) + 1,
+                parts + 1, parts + n);
 }
 
 HeaderPredicate HeaderPredicate::all() {
@@ -277,33 +298,57 @@ void HeaderPredicate::subtract_in_place(const HeaderPredicate& other,
   }
 }
 
+bool HeaderPredicate::covers(const HeaderAtom& atom) const {
+  if (atom.empty()) return true;
+  // Depth-first over the piece tree subtract() would build: a piece peeled
+  // by box j leaves pieces that only boxes after j can still touch, so each
+  // pending piece carries the index its box scan resumes at. A piece that
+  // no remaining box intersects is a header outside the union, and the
+  // search stops there; a piece some box swallows whole is done. Only the
+  // uncovered remainder is ever explored, never materialized, and the
+  // pending pieces live on the heap: a long clause chain makes the tree as
+  // deep as the box count, which would overflow a recursive search.
+  struct Pending {
+    HeaderAtom piece;
+    std::size_t next;
+  };
+  std::vector<Pending> stack{{atom, 0}};
+  while (!stack.empty()) {
+    const Pending top = stack.back();
+    stack.pop_back();
+    std::optional<HeaderAtom> hole;
+    std::size_t j = top.next;
+    for (; j < atoms_.size(); ++j) {
+      hole = atom_intersect(top.piece, atoms_[j]);
+      if (hole) break;
+    }
+    if (!hole) return false;
+    if (*hole == top.piece) continue;
+    const std::size_t first = stack.size();
+    for_each_peeled_piece(top.piece, *hole, [&](const HeaderAtom& piece) {
+      stack.push_back({piece, j + 1});
+    });
+    // Visit the children in the order subtract() emits them.
+    std::reverse(stack.begin() + static_cast<std::ptrdiff_t>(first),
+                 stack.end());
+  }
+  return true;
+}
+
 bool HeaderPredicate::covers(const HeaderPredicate& other) const {
   // Exact-twin lookup first: when the two predicates share structure (e.g.
   // two lowerings of the same access list) almost every atom has a
-  // verbatim counterpart, and the O(n^2) single-cover scan below would
+  // verbatim counterpart, and the per-atom cover search below would
   // dominate.
   std::vector<HeaderAtom> sorted = atoms_;
   std::sort(sorted.begin(), sorted.end());
   for (const auto& atom : other.atoms_) {
     if (std::binary_search(sorted.begin(), sorted.end(), atom)) continue;
     // Fast path: a single atom swallows it whole.
-    bool swallowed = false;
-    for (const auto& mine : atoms_) {
-      if (mine.covers(atom)) {
-        swallowed = true;
-        break;
-      }
-    }
-    if (swallowed) continue;
-    // Otherwise peel just this atom; subtract(atom) skips non-overlapping
-    // pieces, and the early-empty exit fires as soon as the cover is
-    // complete.
-    HeaderPredicate rest = HeaderPredicate::of(atom);
-    for (const auto& mine : atoms_) {
-      rest = rest.subtract(mine);
-      if (rest.is_empty()) break;
-    }
-    if (!rest.is_empty()) return false;
+    const bool swallowed =
+        std::any_of(atoms_.begin(), atoms_.end(),
+                    [&](const HeaderAtom& mine) { return mine.covers(atom); });
+    if (!swallowed && !covers(atom)) return false;
   }
   return true;
 }

@@ -105,6 +105,11 @@ bool operator<(const HeaderAtom& a, const HeaderAtom& b) noexcept;
 std::vector<ip::Prefix> prefix_difference(const ip::Prefix& a,
                                           const ip::Prefix& b);
 
+/// Removes `hole` from a set of pairwise-disjoint prefixes in place: pieces
+/// inside the hole are dropped, and the one piece strictly containing it
+/// (if any) is replaced, in its slot, by prefix_difference(piece, hole).
+void subtract_prefix(std::vector<ip::Prefix>& region, const ip::Prefix& hole);
+
 /// A packet-set predicate: the union of its atoms. Atoms may overlap (the
 /// algebra never requires disjointness); emptiness is `atoms().empty()`
 /// because empty atoms are never stored.
@@ -153,9 +158,16 @@ class HeaderPredicate {
     return intersect(other).is_empty();
   }
 
+  /// True when every header in `atom` is also in this predicate: the cover
+  /// search. Exactly `HeaderPredicate::of(atom).subtract(*this).is_empty()`,
+  /// but it walks the pieces of that difference depth-first and returns at
+  /// the first one no atom of this predicate intersects, so the difference
+  /// is never materialized. Iterative: its work stack is on the heap, so
+  /// the search depth (up to atom_count()) never touches the thread stack.
+  bool covers(const HeaderAtom& atom) const;
+
   /// True when every header in `other` is also in this predicate. Decided
-  /// one atom at a time, so the fragment set stays proportional to a single
-  /// atom's splintering rather than the whole predicate's — materializing
+  /// one atom at a time by the cover search above — materializing
   /// subtract(other) on two multi-thousand-atom predicates is intractable.
   bool covers(const HeaderPredicate& other) const;
 

@@ -1,5 +1,6 @@
 #include "model/policy.h"
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <utility>
@@ -210,7 +211,6 @@ SymbolicPacketFilter::SymbolicPacketFilter(const config::AccessList& acl,
   // clause jointly and blows up on host-specific filter lists.
   std::vector<HeaderPredicate> regions;
   regions.reserve(acl.rules.size());
-  effective_.reserve(acl.rules.size());
   std::vector<HeaderAtom> scratch;  // reused across every peel below
   for (std::size_t i = 0; i < acl.rules.size(); ++i) {
     const auto& rule = acl.rules[i];
@@ -219,9 +219,6 @@ SymbolicPacketFilter::SymbolicPacketFilter(const config::AccessList& acl,
     for (std::size_t j = 0; j < i && !effective.is_empty(); ++j) {
       effective.subtract_in_place(regions[j], scratch);
     }
-    // A single clause region peeled by disjoint holes stays a disjoint
-    // union, so the cheap disjoint normalize is exact here.
-    effective.normalize_disjoint();
     if (effective.is_empty()) {
       shadowed_.push_back(i);
     } else if (rule.action == config::FilterAction::kPermit) {
@@ -229,12 +226,32 @@ SymbolicPacketFilter::SymbolicPacketFilter(const config::AccessList& acl,
       // construction.
       permitted_.unite_disjoint(effective);
     }
-    effective_.push_back(std::move(effective));
     regions.push_back(std::move(region));
   }
   permitted_.normalize_disjoint();
   // Off the end of the list is the implicit deny: headers no clause
   // claims are simply not permitted.
+}
+
+std::vector<std::size_t> shadowed_clauses(const config::AccessList& acl,
+                                          ProtocolDomain& domain) {
+  // A clause is dead exactly when the earlier clauses' match regions cover
+  // its own; their union is all the search needs, not the peeled regions.
+  // Asked atom by atom: covers(HeaderPredicate) would sort `earlier` for
+  // its twin lookup on every clause.
+  std::vector<std::size_t> out;
+  HeaderPredicate earlier;
+  for (std::size_t i = 0; i < acl.rules.size(); ++i) {
+    const HeaderPredicate region = acl_rule_match_region(acl.rules[i], domain);
+    const auto& atoms = region.atoms();
+    if (std::all_of(atoms.begin(), atoms.end(), [&](const HeaderAtom& atom) {
+          return earlier.covers(atom);
+        })) {
+      out.push_back(i);
+    }
+    earlier.unite(region);
+  }
+  return out;
 }
 
 CompiledRouteMap::CompiledRouteMap(const config::RouteMap& route_map,

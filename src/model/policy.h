@@ -168,7 +168,7 @@ HeaderPredicate acl_rule_match_region(const config::AclRule& rule,
                                       ProtocolDomain& domain);
 
 /// An access list lowered to packet-set predicates: the exact set of
-/// headers the list permits, plus per-clause first-match effectiveness.
+/// headers the list permits, plus the clauses first-match leaves dead.
 /// This is `acl_permits_packet` run on every header at once; the
 /// differential suite checks the two against each other.
 class SymbolicPacketFilter {
@@ -178,23 +178,26 @@ class SymbolicPacketFilter {
   /// Headers on which the list's first matching clause is a permit.
   const HeaderPredicate& permitted() const noexcept { return permitted_; }
 
-  /// Headers each clause actually decides (its match region minus every
-  /// earlier clause's). One entry per clause, in clause order.
-  const std::vector<HeaderPredicate>& effective() const noexcept {
-    return effective_;
-  }
-
-  /// Indices of clauses whose effective region is empty — dead clauses the
-  /// earlier ones fully shadow (paper §5.3's error-prone IOS filters).
+  /// Indices of clauses whose effective region (match region minus every
+  /// earlier clause's) is empty — dead clauses the earlier ones fully
+  /// shadow (paper §5.3's error-prone IOS filters). Read off the
+  /// materialized lowering; shadowed_clauses() decides the same set
+  /// without it.
   const std::vector<std::size_t>& shadowed() const noexcept {
     return shadowed_;
   }
 
  private:
   HeaderPredicate permitted_;
-  std::vector<HeaderPredicate> effective_;
   std::vector<std::size_t> shadowed_;
 };
+
+/// The indices SymbolicPacketFilter(acl, domain).shadowed() lists, decided
+/// by one cover search per clause (is its match region inside the union of
+/// the earlier clauses' regions?) instead of lowering the list. For callers
+/// that need only the dead clauses, not permitted().
+std::vector<std::size_t> shadowed_clauses(const config::AccessList& acl,
+                                          ProtocolDomain& domain);
 
 class PolicyCompiler;
 

@@ -1,13 +1,15 @@
 // Unit tests for the symbolic header-space layer: the HeaderPredicate
 // union-of-boxes algebra (intersect / subtract / emptiness / equivalence,
-// with the port-line edges 0, 65535 and kNoPort and prefix aliasing),
-// the SymbolicPacketFilter ACL lowering with its golden shadowed-clause
-// fixtures, and the HeaderSpace pair predicates and intent verification
-// against hand-computable two-LAN networks.
+// with the port-line edges 0, 65535 and kNoPort and prefix aliasing), the
+// cover search against the materialized subtract, the SymbolicPacketFilter
+// ACL lowering with its golden shadowed-clause fixtures, and the HeaderSpace
+// pair predicates and intent verification against hand-computable two-LAN
+// networks.
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/header_space.h"
@@ -17,6 +19,7 @@
 #include "model/header_predicate.h"
 #include "model/policy.h"
 #include "testutil.h"
+#include "util/rng.h"
 
 namespace rd::analysis {
 namespace {
@@ -83,6 +86,25 @@ TEST(PrefixDifference, HostAliasingEdges) {
       model::prefix_difference(pfx("0.0.0.0/0"), pfx("255.255.255.255/32"))
           .size(),
       32u);
+}
+
+TEST(PrefixDifference, SubtractPrefixSplitsInPlace) {
+  // The one piece containing the hole is replaced, in its slot, by its
+  // difference; pieces inside the hole go; disjoint pieces stay put.
+  std::vector<ip::Prefix> region{pfx("9.0.0.0/8"), pfx("10.0.0.0/14"),
+                                 pfx("11.0.0.0/8")};
+  model::subtract_prefix(region, pfx("10.1.128.0/17"));
+  EXPECT_EQ(region, (std::vector<ip::Prefix>{
+                        pfx("9.0.0.0/8"), pfx("10.2.0.0/15"),
+                        pfx("10.0.0.0/16"), pfx("10.1.0.0/17"),
+                        pfx("11.0.0.0/8")}));
+  model::subtract_prefix(region, pfx("10.0.0.0/8"));
+  EXPECT_EQ(region,
+            (std::vector<ip::Prefix>{pfx("9.0.0.0/8"), pfx("11.0.0.0/8")}));
+  model::subtract_prefix(region, pfx("12.0.0.0/8"));
+  EXPECT_EQ(region.size(), 2u);
+  model::subtract_prefix(region, pfx("0.0.0.0/0"));
+  EXPECT_TRUE(region.empty());
 }
 
 // --- predicate algebra -------------------------------------------------------
@@ -195,6 +217,125 @@ TEST(HeaderPredicate, NormalizeDropsCoveredAtomsDeterministically) {
   EXPECT_EQ(w->source, addr("10.0.0.0"));
   EXPECT_EQ(w->protocol_bit, 0);
   EXPECT_EQ(w->port, 0u);
+}
+
+// --- cover search ------------------------------------------------------------
+
+TEST(CoverSearch, UnionOfTwoPartialBoxes) {
+  // Neither box covers the atom alone: one stops at port 100, the other
+  // starts at port 50 and misses half the sources.
+  auto boxes = HeaderPredicate::of(
+      atom("10.0.0.0/8", "0.0.0.0/0", kAllProtocols, 0, 100));
+  boxes.unite(atom("10.0.0.0/9", "0.0.0.0/0", kAllProtocols, 50, kNoPort));
+  const auto target = atom("10.0.0.0/9", "20.0.0.0/8", 0b10, 0, kNoPort);
+  EXPECT_FALSE(boxes.atoms()[0].covers(target));
+  EXPECT_FALSE(boxes.atoms()[1].covers(target));
+  EXPECT_TRUE(boxes.covers(target));
+  // Widening the target into the half only the first box holds breaks it.
+  EXPECT_FALSE(boxes.covers(atom("10.0.0.0/8", "20.0.0.0/8", 0b10)));
+}
+
+TEST(CoverSearch, RemainderOnlyOnNoPort) {
+  // Every real port is covered; only the portless packet is left.
+  auto ports = HeaderPredicate::of(
+      atom("0.0.0.0/0", "0.0.0.0/0", kAllProtocols, 0, 65535));
+  const auto everything = atom("0.0.0.0/0", "0.0.0.0/0");
+  EXPECT_FALSE(ports.covers(everything));
+  EXPECT_FALSE(ports.covers(
+      atom("10.1.2.3/32", "10.4.5.6/32", 0b1, kNoPort, kNoPort)));
+  EXPECT_TRUE(ports.covers(
+      atom("0.0.0.0/0", "0.0.0.0/0", kAllProtocols, 65535, 65535)));
+  ports.unite(atom("0.0.0.0/0", "0.0.0.0/0", kAllProtocols, kNoPort, kNoPort));
+  EXPECT_TRUE(ports.covers(everything));
+}
+
+TEST(CoverSearch, RemainderOnlyOnOneProtocolBit) {
+  constexpr std::uint64_t kBit = 1ULL << 5;
+  auto protocols = HeaderPredicate::of(
+      atom("0.0.0.0/0", "0.0.0.0/0", kAllProtocols & ~kBit));
+  EXPECT_FALSE(protocols.covers(atom("0.0.0.0/0", "0.0.0.0/0")));
+  EXPECT_FALSE(
+      protocols.covers(atom("10.1.2.3/32", "10.4.5.6/32", kBit, 80, 80)));
+  EXPECT_TRUE(protocols.covers(atom("0.0.0.0/0", "0.0.0.0/0", 0b11111)));
+  protocols.unite(atom("0.0.0.0/0", "0.0.0.0/0", kBit));
+  EXPECT_TRUE(protocols.covers(atom("0.0.0.0/0", "0.0.0.0/0")));
+}
+
+TEST(CoverSearch, RemainderOnlyOnOneSourceHost) {
+  // The 32 siblings along 10.1.2.3/32's trie path tile every source but it.
+  HeaderPredicate others;
+  for (const auto& src :
+       model::prefix_difference(pfx("0.0.0.0/0"), pfx("10.1.2.3/32"))) {
+    others.unite(atom(src.to_string(), "0.0.0.0/0"));
+  }
+  ASSERT_EQ(others.atom_count(), 32u);
+  EXPECT_FALSE(others.covers(atom("0.0.0.0/0", "0.0.0.0/0")));
+  EXPECT_FALSE(
+      others.covers(atom("10.1.2.3/32", "10.4.5.6/32", 0b1, 80, 80)));
+  EXPECT_TRUE(others.covers(atom("10.1.2.2/32", "0.0.0.0/0")));
+  EXPECT_TRUE(others.covers(atom("10.1.2.4/30", "0.0.0.0/0")));
+  others.unite(atom("10.1.2.3/32", "0.0.0.0/0"));
+  EXPECT_TRUE(others.covers(atom("0.0.0.0/0", "0.0.0.0/0")));
+}
+
+TEST(CoverSearch, EmptyBoxList) {
+  const auto none = HeaderPredicate::none();
+  EXPECT_FALSE(none.covers(atom("10.1.2.3/32", "10.4.5.6/32", 0b1, 80, 80)));
+  EXPECT_FALSE(none.covers(HeaderPredicate::all()));
+  EXPECT_TRUE(none.covers(HeaderPredicate::none()));
+  // An empty atom is covered by anything, nothing included.
+  EXPECT_TRUE(none.covers(atom("10.0.0.0/8", "0.0.0.0/0", 0)));
+  EXPECT_TRUE(none.covers(
+      atom("10.0.0.0/8", "0.0.0.0/0", kAllProtocols, 81, 80)));
+}
+
+/// A random atom over a deliberately small universe — addresses inside
+/// 10.0.0.0/29 or the whole line, three protocol bits or every protocol,
+/// ports at the edges of the line — so random boxes overlap often. A
+/// `narrow` atom has one protocol bit and one port, so a handful of boxes
+/// covers it often enough for the cover decision to come out both ways.
+HeaderAtom random_atom(util::Rng& rng, bool narrow = false) {
+  static const char* kPrefixes[] = {
+      "0.0.0.0/0",   "10.0.0.0/29", "10.0.0.0/30", "10.0.0.4/30",
+      "10.0.0.0/31", "10.0.0.2/31", "10.0.0.6/31", "10.0.0.1/32",
+      "10.0.0.4/32", "10.0.0.7/32"};
+  static const std::uint32_t kPorts[] = {0, 1, 80, 65535, kNoPort};
+  const auto pick_prefix = [&] {
+    return std::string(kPrefixes[rng.below(std::size(kPrefixes))]);
+  };
+  std::uint32_t lo = kPorts[rng.below(std::size(kPorts))];
+  std::uint32_t hi = narrow ? lo : kPorts[rng.below(std::size(kPorts))];
+  if (lo > hi) std::swap(lo, hi);
+  std::uint64_t protocols = 1ULL << rng.below(3);
+  if (!narrow) protocols = rng.chance(0.15) ? kAllProtocols : 1 + rng.below(7);
+  return atom(pick_prefix(), pick_prefix(), protocols, lo, hi);
+}
+
+TEST(CoverSearch, AgreesWithMaterializedSubtractOnRandomPredicates) {
+  util::Rng rng(0xC0DE5EA2C4ULL);
+  std::size_t covered = 0;
+  std::size_t uncovered = 0;
+  for (int trial = 0; trial < 6000; ++trial) {
+    HeaderPredicate boxes;
+    const auto box_count = rng.range(0, 10);
+    for (std::int64_t i = 0; i < box_count; ++i) boxes.unite(random_atom(rng));
+    const auto target = random_atom(rng, rng.chance(0.5));
+    const bool expected =
+        HeaderPredicate::of(target).subtract(boxes).is_empty();
+    ASSERT_EQ(boxes.covers(target), expected)
+        << "trial " << trial << "\nboxes:\n"
+        << boxes.to_string(ProtocolDomain())
+        << "target:\n"
+        << HeaderPredicate::of(target).to_string(ProtocolDomain());
+    (expected ? covered : uncovered) += 1;
+    // The predicate form agrees with its own subtract too.
+    HeaderPredicate targets = HeaderPredicate::of(target);
+    targets.unite(random_atom(rng));
+    ASSERT_EQ(boxes.covers(targets), targets.subtract(boxes).is_empty())
+        << "trial " << trial;
+  }
+  EXPECT_GT(covered, 500u);
+  EXPECT_GT(uncovered, 500u);
 }
 
 TEST(ProtocolDomain, InterningAndWildcards) {

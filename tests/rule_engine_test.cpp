@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <algorithm>
 #include <string>
@@ -8,6 +9,7 @@
 #include "anonymize/anonymizer.h"
 #include "config/parser.h"
 #include "config/writer.h"
+#include "graph/instances.h"
 #include "model/network.h"
 #include "synth/archetypes.h"
 #include "testutil.h"
@@ -385,6 +387,64 @@ TEST(RuleEngine, Rd050DoesNotDoubleReportLintShadows) {
   const auto result = RuleEngine::with_default_rules().run(net);
   EXPECT_EQ(findings_for(result, "RD008").size(), 1u);
   EXPECT_TRUE(findings_for(result, "RD050").empty());
+}
+
+/// Runs `body` on a fresh thread whose stack is `bytes` long, and joins it.
+template <typename Body>
+void run_on_stack_of(std::size_t bytes, Body& body) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, bytes), 0);
+  pthread_t thread;
+  const int created = pthread_create(
+      &thread, &attr,
+      [](void* arg) -> void* {
+        (*static_cast<Body*>(arg))();
+        return nullptr;
+      },
+      &body);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+}
+
+TEST(RuleEngine, ShadowedAclEntryDeepChainOnSmallStack) {
+  // 5,000 single-port permits with descending ports, then a tcp-wide deny,
+  // then a port-80 deny the permits already cover. Deciding the tcp-wide
+  // deny peels it against every permit in turn, a piece chain as deep as
+  // the clause count: a recursive cover search would overflow the 128 KiB
+  // thread stack RD050 runs on here.
+  constexpr int kPermits = 5000;
+  std::string text =
+      "hostname r1\n"
+      "interface Ethernet0\n"
+      " ip address 10.0.0.1 255.255.255.0\n"
+      " ip access-group 150 in\n";
+  for (int port = kPermits; port >= 1; --port) {
+    text += "access-list 150 permit tcp any any eq " + std::to_string(port) +
+            "\n";
+  }
+  text += "access-list 150 deny tcp any any\n";
+  text += "access-list 150 deny tcp any any eq 80\n";
+  const auto network =
+      model::Network::build({config::parse_config(text, "r1.cfg").config});
+  const auto graph = graph::InstanceGraph::build(network);
+  const auto engine = RuleEngine::with_default_rules();
+  const auto rule = std::find_if(
+      engine.rules().begin(), engine.rules().end(),
+      [](const RuleEngine::Rule& r) { return r.info.id == "RD050"; });
+  ASSERT_NE(rule, engine.rules().end());
+  const RuleContext ctx{network, graph, engine.options()};
+
+  std::vector<Finding> findings;
+  auto body = [&] { findings = rule->fn(ctx); };
+  run_on_stack_of(128 * 1024, body);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].subject, "150");
+  EXPECT_EQ(findings[0].detail,
+            "clause " + std::to_string(kPermits + 2) +
+                " can never match a packet (the preceding clauses cover its "
+                "entire header space)");
 }
 
 TEST(RuleEngine, DeadRouteMapClauses) {

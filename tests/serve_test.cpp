@@ -37,9 +37,21 @@
 namespace rd {
 namespace {
 
+/// The fleet every service test loads, written once per process. ctest runs
+/// each test case as its own process, several at a time, so the directory
+/// is per process: a shared one gets removed and rewritten under another
+/// process's reader.
 std::filesystem::path fleet_dir() {
-  static const auto dir = [] {
-    const auto d = std::filesystem::path(testing::TempDir()) / "rd_serve_fleet";
+  struct RemovedAtExit {
+    std::filesystem::path path;
+    ~RemovedAtExit() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  };
+  static const RemovedAtExit dir{[] {
+    const auto d = std::filesystem::path(testing::TempDir()) /
+                   ("rd_serve_fleet_" + std::to_string(::getpid()));
     std::filesystem::remove_all(d);
     synth::ManagedEnterpriseParams params;
     params.regions = 2;
@@ -47,8 +59,8 @@ std::filesystem::path fleet_dir() {
     params.ebgp_spoke_rate = 0.3;
     synth::emit_network(synth::make_managed_enterprise(params).configs, d);
     return d;
-  }();
-  return dir;
+  }()};
+  return dir.path;
 }
 
 /// The one-shot CLI's construction of the same fleet: parse with file

@@ -5,8 +5,10 @@
 // engine is the oracle; any disagreement is a bug in one of them.
 //
 // Also here: ACL self-equivalence over every packet filter in the fleet
-// (the lowering must be stable and the equivalence decision reflexive), and
-// byte-identical rule reports at 1/2/8 threads on an intent-bearing network.
+// (the lowering must be stable and the equivalence decision reflexive), the
+// cover search's shadowed clauses against the lowering's on every fleet ACL
+// and two mutants of each, and byte-identical rule reports at 1/2/8 threads
+// on an intent-bearing network.
 //
 // Stress volume is dialable: RD_FUZZ_SEEDS (default 2) networks-orderings,
 // RD_FUZZ_ITERS (default 1400) header samples per network.
@@ -16,6 +18,7 @@
 #include <cstdlib>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/header_space.h"
@@ -130,26 +133,80 @@ TEST(SymbolicDifferential, ConcreteVerdictEqualsSymbolicMembership) {
   EXPECT_GE(samples, 10000u);
 }
 
+/// Calls `fn(network_name, acl)` on every access list of the seed-1 fleet —
+/// every real ACL shape the generators emit — and returns how many it
+/// visited. Stops after the first ACL that fails a check.
+template <typename Fn>
+std::size_t for_each_fleet_acl(Fn&& fn) {
+  const auto fleet = synth::generate_fleet(1);
+  std::size_t visited = 0;
+  for (const auto& net : fleet.networks) {
+    for (const auto& cfg : net.configs) {
+      for (const auto& acl : cfg.access_lists) {
+        fn(net.name, acl);
+        ++visited;
+        if (::testing::Test::HasFailure()) return visited;
+      }
+    }
+  }
+  return visited;
+}
+
 TEST(SymbolicDifferential, AclSelfEquivalenceAcrossFleet) {
   // Every packet filter in the fleet lowers to the same predicate twice,
   // and the equivalence decision recognizes it. Exercises the subtract /
   // emptiness path on every real ACL shape the generators emit.
-  const auto fleet = synth::generate_fleet(1);
-  std::size_t checked = 0;
-  for (const auto& net : fleet.networks) {
-    for (const auto& cfg : net.configs) {
-      for (const auto& acl : cfg.access_lists) {
+  const auto checked = for_each_fleet_acl(
+      [](const std::string& net, const config::AccessList& acl) {
         model::ProtocolDomain domain_a;
         const model::SymbolicPacketFilter a(acl, domain_a);
         model::ProtocolDomain domain_b;
         const model::SymbolicPacketFilter b(acl, domain_b);
         ASSERT_TRUE(a.permitted().equivalent(b.permitted()))
-            << net.name << " acl " << acl.id;
-        ++checked;
-      }
-    }
-  }
+            << net << " acl " << acl.id;
+      });
   EXPECT_GT(checked, 0u);
+}
+
+/// The cover search's shadowed clauses of `acl`, checked against the ones
+/// the materialized lowering finds with an empty effective region.
+std::vector<std::size_t> checked_shadowed_clauses(
+    const config::AccessList& acl, const std::string& where) {
+  model::ProtocolDomain domain_lowered;
+  const model::SymbolicPacketFilter lowered(acl, domain_lowered);
+  model::ProtocolDomain domain;
+  auto searched = model::shadowed_clauses(acl, domain);
+  EXPECT_EQ(searched, lowered.shadowed()) << where;
+  return searched;
+}
+
+TEST(SymbolicDifferential, ShadowedClausesEqualLoweringAcrossFleet) {
+  // On every fleet ACL and on two mutants of each: the first clause
+  // repeated at the end (always a new shadow), and the first two clauses
+  // swapped (which creates shadows on some lists and removes them on
+  // others).
+  std::size_t created = 0;
+  std::size_t removed = 0;
+  const auto checked = for_each_fleet_acl(
+      [&](const std::string& net, const config::AccessList& acl) {
+        const std::string where = net + " acl " + acl.id;
+        const auto original = checked_shadowed_clauses(acl, where).size();
+        if (acl.rules.empty()) return;
+        auto repeated = acl;
+        repeated.rules.push_back(acl.rules.front());
+        checked_shadowed_clauses(repeated, where + " (first repeated)");
+        if (acl.rules.size() < 2) return;
+        auto swapped = acl;
+        std::swap(swapped.rules[0], swapped.rules[1]);
+        const auto after =
+            checked_shadowed_clauses(swapped, where + " (first two swapped)")
+                .size();
+        created += after > original ? 1 : 0;
+        removed += after < original ? 1 : 0;
+      });
+  EXPECT_GT(checked, 0u);
+  EXPECT_GT(created, 0u);
+  EXPECT_GT(removed, 0u);
 }
 
 TEST(SymbolicDifferential, MutatedAclIsNotEquivalent) {
