@@ -233,7 +233,6 @@ void BM_MegaReachability(benchmark::State& state) {
   if (!mega_enabled(state)) return;
   const MegaWorkload& w = mega_workload();
   analysis::ReachabilityAnalysis::Options options;
-  options.engine = analysis::ReachabilityAnalysis::Engine::kSemiNaive;
   std::size_t total_routes = 0;
   for (auto _ : state) {
     const auto reach =

@@ -305,14 +305,16 @@ void BM_IncrementalModel(benchmark::State& state) {
   const auto base = sixty_four_router_texts();
   pipeline::ParseCache cache;
   util::ThreadPool pool(1);  // isolate the caching effect from parallelism
-  benchmark::DoNotOptimize(pipeline::build_network_cached(base, cache, pool));
+  benchmark::DoNotOptimize(
+      pipeline::build_network_cached(base, {}, cache, pool));
   auto snap = base;
   std::uint64_t rev = 0;
   for (auto _ : state) {
     state.PauseTiming();
     evolve_texts(snap, base, changed, rev++);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(pipeline::build_network_cached(snap, cache, pool));
+    benchmark::DoNotOptimize(
+        pipeline::build_network_cached(snap, {}, cache, pool));
   }
   state.counters["routers"] = static_cast<double>(base.size());
   state.counters["changed"] = static_cast<double>(changed);

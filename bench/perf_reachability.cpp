@@ -1,9 +1,11 @@
-// Reachability-engine benchmarks: the naïve full-rescan fixpoint vs the
-// semi-naïve delta-propagation engine (DESIGN.md §9) at three scales, plus
-// the parallel what-if sweep built on top of the faster core. The
-// differential test suite (reachability_differential_test) proves the two
-// engines produce identical outputs; these benchmarks measure the gap —
-// EXPERIMENTS.md records the headline numbers.
+// Reachability-engine benchmarks: the naïve full-rescan fixpoint (the
+// differential oracle, `prop::run_naive`, called directly — no product
+// path reaches it) vs the semi-naïve delta-propagation engine behind
+// ReachabilityAnalysis (DESIGN.md §9) at three scales, plus the parallel
+// what-if sweep built on top of the faster core. The differential test
+// suite (reachability_differential_test) proves the two engines produce
+// identical outputs; these benchmarks measure the gap — EXPERIMENTS.md
+// records the headline numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 
 #include "perf_main.h"
 
+#include "analysis/propagation.h"
 #include "analysis/reachability.h"
 #include "analysis/whatif.h"
 #include "graph/instances.h"
@@ -24,7 +27,6 @@
 namespace {
 
 using namespace rd;
-using Engine = analysis::ReachabilityAnalysis::Engine;
 
 struct Workload {
   std::string name;
@@ -75,18 +77,14 @@ const Workload& workload(std::int64_t scale) {
   return (*all)[static_cast<std::size_t>(scale)];
 }
 
-void run_fixpoint(benchmark::State& state, Engine engine) {
+/// Times one fixpoint per iteration; `fixpoint(w)` returns the total
+/// route count over all instances.
+template <typename Fixpoint>
+void run_fixpoint(benchmark::State& state, Fixpoint fixpoint) {
   const Workload& w = workload(state.range(0));
-  auto options = w.options;
-  options.engine = engine;
   std::size_t total_routes = 0;
   for (auto _ : state) {
-    const auto reach =
-        analysis::ReachabilityAnalysis::run(w.network, w.instances, options);
-    total_routes = 0;
-    for (std::uint32_t i = 0; i < w.instances.instances.size(); ++i) {
-      total_routes += reach.instance_routes(i).size();
-    }
+    total_routes = fixpoint(w);
     benchmark::DoNotOptimize(total_routes);
   }
   // routes/sec: fixpoint output routes per wall-second, the engines' common
@@ -99,13 +97,32 @@ void run_fixpoint(benchmark::State& state, Engine engine) {
 }
 
 void BM_Fixpoint_Naive(benchmark::State& state) {
-  run_fixpoint(state, Engine::kNaive);
+  // The Problem ReachabilityAnalysis::run evaluates, handed to the oracle.
+  run_fixpoint(state, [](const Workload& w) {
+    namespace prop = analysis::prop;
+    const auto problem = prop::discover(
+        w.network, w.instances, {},
+        prop::external_universe(w.network, w.options.external_prefixes));
+    std::size_t total = 0;
+    for (const auto& routes : prop::run_naive(problem).routes) {
+      total += routes.size();
+    }
+    return total;
+  });
 }
 BENCHMARK(BM_Fixpoint_Naive)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_Fixpoint_SemiNaive(benchmark::State& state) {
-  run_fixpoint(state, Engine::kSemiNaive);
+  run_fixpoint(state, [](const Workload& w) {
+    const auto reach =
+        analysis::ReachabilityAnalysis::run(w.network, w.instances, w.options);
+    std::size_t total = 0;
+    for (std::uint32_t i = 0; i < w.instances.instances.size(); ++i) {
+      total += reach.instance_routes(i).size();
+    }
+    return total;
+  });
 }
 BENCHMARK(BM_Fixpoint_SemiNaive)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);

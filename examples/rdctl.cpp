@@ -20,7 +20,6 @@
 //   --tcp PORT      connect to 127.0.0.1:PORT
 //   --fleet NAME    fleet to query (optional when one fleet is loaded)
 //   --format F      rdlint: text | json | sarif (default text)
-//   --naive         reachability: the reference full-rescan engine
 //   --seed N        simulate: simulation seed (default 42)
 //   --until MS      simulate: simulated-time cap in ms (default automatic)
 //
@@ -64,7 +63,6 @@ static int run(int argc, char** argv) {
           "options:\n"
           "  --fleet NAME   fleet to query (optional with one fleet)\n"
           "  --format F     rdlint format: text | json | sarif\n"
-          "  --naive        reachability: reference full-rescan engine\n"
           "  --seed N       simulate: simulation seed (default 42)\n"
           "  --until MS     simulate: simulated-time cap in milliseconds\n"
           "                 (default: automatic)\n"
@@ -95,8 +93,6 @@ static int run(int argc, char** argv) {
       const char* v = want_value("--format");
       if (v == nullptr) return 2;
       request.format = v;
-    } else if (std::strcmp(argv[i], "--naive") == 0) {
-      request.naive = true;
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       if (!cli::parse_u64_flag(i + 1 < argc ? argv[++i] : nullptr,
                                request.seed)) {

@@ -217,7 +217,7 @@ static int run(int argc, char** argv) {
       }
       name = dirs[s].filename().string();
       if (name.empty()) name = dirs[s].string();
-      network = pipeline::build_network_cached(texts, cache, pool);
+      network = pipeline::build_network_cached(texts, {}, cache, pool);
       result = engine.run(*network, pool);
       if (s > 0) {
         const auto delta = analysis::diff_against_baseline(result->findings,

@@ -18,9 +18,6 @@
 //                                            # routes, and return path all
 //                                            # applied); without, verify the
 //                                            # "! rd-intent" assertions
-//   reachability_query --naive ...           # use the reference full-rescan
-//                                            # engine (identical results,
-//                                            # asymptotically slower)
 //   reachability_query --trace FILE          # Chrome trace-event JSON of
 //                                            # the fixpoint rounds
 //   reachability_query --metrics             # event counters on stderr
@@ -29,19 +26,22 @@
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 
 #include "analysis/reachability.h"
 #include "cli_util.h"
 #include "graph/instances.h"
 #include "model/network.h"
+#include "pipeline/parse_cache.h"
+#include "pipeline/series.h"
 #include "serve/queries.h"
 #include "synth/archetypes.h"
 #include "synth/emit.h"
+#include "util/thread_pool.h"
 
 static int run(int argc, char** argv) {
   using namespace rd;
 
-  std::vector<config::RouterConfig> configs;
   serve::ReachabilityRequest request;
   cli::ObsOptions obs_options;
   std::vector<const char*> positional;
@@ -51,38 +51,44 @@ static int run(int argc, char** argv) {
       if (obs_error) return 2;
       continue;
     }
-    if (std::strcmp(argv[i], "--naive") == 0) {
-      request.naive = true;
-    } else if (std::strcmp(argv[i], "--symbolic") == 0) {
+    if (std::strcmp(argv[i], "--symbolic") == 0) {
       request.symbolic = true;
     } else {
       positional.push_back(argv[i]);
     }
   }
   obs_options.enable();
+  std::optional<model::Network> network;
   if (!positional.empty()) {
-    configs = synth::load_network(positional[0]);
+    // Provenance-stamped cached build: the construction audit_network,
+    // rdlint and the rdd daemon share, so `rdctl reachability` answers
+    // with these exact bytes.
+    const auto loaded = synth::load_network_texts_named(positional[0]);
+    if (loaded.texts.empty()) {
+      std::fprintf(stderr, "no configuration files found\n");
+      return 2;
+    }
+    util::ThreadPool pool;
+    pipeline::ParseCache cache;
+    network = pipeline::build_network_cached(loaded.texts, loaded.names,
+                                             cache, pool);
   } else {
-    configs = synth::reparse(synth::make_net15().configs);
+    network = model::Network::build(
+        synth::reparse(synth::make_net15().configs));
     const auto plan = synth::net15_plan();
     request.external_prefixes = {plan.ab0, plan.external_left,
                                  plan.external_right};
     std::printf("(querying the generated net15 case study; pass a config "
                 "directory for your own network)\n\n");
   }
-  if (configs.empty()) {
-    std::fprintf(stderr, "no configuration files found\n");
-    return 2;
-  }
   if (positional.size() > 2) {
     request.source = positional[1];
     request.destination = positional[2];
   }
 
-  const auto network = model::Network::build(std::move(configs));
-  const auto instances = graph::compute_instances(network);
+  const auto instances = graph::compute_instances(*network);
   const auto report =
-      serve::reachability_report(network, instances, request);
+      serve::reachability_report(*network, instances, request);
   if (!report.error.empty()) {
     std::fwrite(report.error.data(), 1, report.error.size(), stderr);
   }
@@ -93,17 +99,14 @@ static int run(int argc, char** argv) {
   // epilogue; the daemon serves directories, never the generated demo.)
   if (positional.empty() && !request.symbolic) {
     analysis::ReachabilityAnalysis::Options options;
-    if (request.naive) {
-      options.engine = analysis::ReachabilityAnalysis::Engine::kNaive;
-    }
     options.external_prefixes = request.external_prefixes;
     const auto reach =
-        analysis::ReachabilityAnalysis::run(network, instances, options);
+        analysis::ReachabilityAnalysis::run(*network, instances, options);
     const auto plan = synth::net15_plan();
     const auto a = ip::Ipv4Address(plan.ab2.network().value() + 257);
     const auto b = ip::Ipv4Address(plan.ab4.network().value() + 257);
-    const auto ia = serve::instance_attached_to(network, instances, a);
-    const auto ib = serve::instance_attached_to(network, instances, b);
+    const auto ia = serve::instance_attached_to(*network, instances, a);
+    const auto ib = serve::instance_attached_to(*network, instances, b);
     std::printf("\ncase-study question: can AB2 hosts (%s) and AB4 hosts "
                 "(%s) communicate?\n  -> %s (the paper's section 6.2 "
                 "finding: they cannot; the policy intersections are empty)\n",

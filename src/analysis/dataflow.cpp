@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "analysis/propagation.h"
 #include "analysis/vulnerability.h"
 #include "obs/obs.h"
 
@@ -75,6 +76,14 @@ std::string instance_label(const graph::InstanceSet& set, std::uint32_t i) {
   return label;
 }
 
+std::size_t redistribute_line(const model::Network& network,
+                              const model::RedistributionEdge& edge) {
+  const auto& process = network.processes()[edge.target_process];
+  const auto& stanza =
+      network.routers()[edge.router].router_stanzas[process.stanza_index];
+  return stanza.redistributes[edge.redistribute_index].line;
+}
+
 namespace {
 
 using model::Route;
@@ -87,65 +96,6 @@ struct FactHash {
     h ^= h >> 32;
     return static_cast<std::size_t>(h);
   }
-};
-
-/// Session-direction policy chain (distribute-list, prefix-list, route-map),
-/// mirroring the reachability engine's session_permits. The route-map goes
-/// through the compiler so sessions sharing a policy share a verdict memo.
-bool session_permits(model::PolicyCompiler& compiler,
-                     const config::RouterConfig* config,
-                     const config::BgpNeighbor* neighbor, bool inbound,
-                     const Route& route) {
-  if (config == nullptr || neighbor == nullptr) return true;
-  const auto& dl =
-      inbound ? neighbor->distribute_list_in : neighbor->distribute_list_out;
-  if (dl && !model::distribute_list_permits(*config, *dl, route)) return false;
-  const auto& pl_name =
-      inbound ? neighbor->prefix_list_in : neighbor->prefix_list_out;
-  if (pl_name) {
-    const auto* pl = config->find_prefix_list(*pl_name);
-    if (pl != nullptr && !model::prefix_list_permits_route(*pl, route)) {
-      return false;
-    }
-  }
-  const auto& rm_name =
-      inbound ? neighbor->route_map_in : neighbor->route_map_out;
-  if (rm_name) {
-    const auto* rm = compiler.route_map(*config, *rm_name);
-    if (rm != nullptr && !rm->evaluate(route).permitted) return false;
-  }
-  return true;
-}
-
-/// Outbound stanza distribute-lists filter what a process exports — applied
-/// to redistribution exactly as the reachability engine applies them.
-bool stanza_out_permits(const config::RouterConfig& config,
-                        const config::RouterStanza& stanza,
-                        const Route& route) {
-  for (const auto& dl : stanza.distribute_lists) {
-    if (dl.inbound) continue;
-    if (!model::distribute_list_permits(config, dl.acl, route)) return false;
-  }
-  return true;
-}
-
-/// 1-based source line of the redistribute command behind a model edge.
-std::size_t redistribute_line(const model::Network& network,
-                              const model::RedistributionEdge& edge) {
-  const auto& process = network.processes()[edge.target_process];
-  const auto& stanza =
-      network.routers()[edge.router].router_stanzas[process.stanza_index];
-  return stanza.redistributes[edge.redistribute_index].line;
-}
-
-/// Per-edge resolved evaluation context (kept off the public edge struct).
-struct EdgeAux {
-  const config::RouterConfig* config = nullptr;        // entry-side router
-  const config::RouterStanza* target_stanza = nullptr; // kRedistribution
-  const model::CompiledRouteMap* map = nullptr;        // null: pass-through
-  const config::BgpNeighbor* receiver_in = nullptr;    // kSession
-  const config::RouterConfig* sender_config = nullptr; // kSession
-  const config::BgpNeighbor* sender_out = nullptr;     // kSession
 };
 
 Finding make_finding(model::RouterId router, std::string subject,
@@ -171,81 +121,49 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
                                    const graph::InstanceGraph& graph) {
   const auto& set = graph.set;
   const std::size_t n = set.instances.size();
+  // The propagation rules' own discovery: the same seeds, edges and policy
+  // context the reachability fixpoint and the simulator evaluate.
+  const prop::Problem problem = prop::discover(network, set, {}, {});
   model::PolicyCompiler compiler;
-  std::vector<EdgeAux> aux;
 
-  // --- Edges: cross-instance redistribution commands, in model order.
-  const auto& redists = network.redistribution_edges();
-  for (std::size_t m = 0; m < redists.size(); ++m) {
-    const auto& redist = redists[m];
-    if (redist.source_kind != model::RibKind::kProcess) continue;
-    const std::uint32_t from = set.instance_of[redist.source_process];
-    const std::uint32_t to = set.instance_of[redist.target_process];
-    if (from == to) continue;
-    const auto& config = network.routers()[redist.router];
-    const auto& target = network.processes()[redist.target_process];
-    DataflowEdge edge;
-    edge.kind = DataflowEdge::Kind::kRedistribution;
-    edge.from = from;
-    edge.to = to;
-    edge.router = redist.router;
-    edge.exit_router = redist.router;
-    edge.model_index = m;
-    edge.line = redistribute_line(network, redist);
-    edge.route_map = redist.route_map;
-    EdgeAux a;
-    a.config = &config;
-    a.target_stanza = &config.router_stanzas[target.stanza_index];
-    if (redist.route_map) a.map = compiler.route_map(config, *redist.route_map);
-    edges_.push_back(std::move(edge));
-    aux.push_back(a);
-  }
-
-  // --- Edges: internal EBGP sessions (one per direction: remote -> local).
-  const auto& sessions = network.bgp_sessions();
-  for (std::size_t s = 0; s < sessions.size(); ++s) {
-    const auto& session = sessions[s];
-    if (session.external() || !session.ebgp()) continue;
-    const auto& local = network.processes()[session.local_process];
-    const auto& remote = network.processes()[session.remote_process];
-    const auto& local_config = network.routers()[local.router];
-    const auto& local_stanza = local_config.router_stanzas[local.stanza_index];
-    DataflowEdge edge;
-    edge.kind = DataflowEdge::Kind::kSession;
-    edge.from = set.instance_of[session.remote_process];
-    edge.to = set.instance_of[session.local_process];
-    edge.router = local.router;
-    edge.exit_router = remote.router;
-    edge.model_index = s;
-    edge.line = local_stanza.neighbors[session.neighbor_index].line;
-    EdgeAux a;
-    a.config = &local_config;
-    a.receiver_in = &local_stanza.neighbors[session.neighbor_index];
-    // The sender's outbound policy toward us, when the mirror session is
-    // configured: any interface address of the local router identifies us.
-    const auto& remote_config = network.routers()[remote.router];
-    const auto& remote_stanza =
-        remote_config.router_stanzas[remote.stanza_index];
-    for (const auto& nbr : remote_stanza.neighbors) {
-      bool ours = false;
-      for (const model::InterfaceId i :
-           network.router_interfaces(local.router)) {
-        if (network.interfaces()[i].address == nbr.address) {
-          ours = true;
-          break;
-        }
-      }
-      if (ours) {
-        a.sender_config = &remote_config;
-        a.sender_out = &nbr;
-        break;
-      }
+  // --- Edges: cross-instance redistribution commands, then internal EBGP
+  // sessions (one per direction: remote -> local), each in model order and
+  // each with its policy chain compiled once.
+  struct Chain {
+    const model::CompiledRouteMap* route_map = nullptr;  // null: pass-through
+    prop::CompiledStanzaDir outbound;      // kRedistribution: target stanza
+    prop::CompiledSessionDir sender_out;   // kSession
+    prop::CompiledSessionDir receiver_in;  // kSession
+  };
+  std::vector<Chain> chains;
+  for (const auto& redist : problem.redist_edges) {
+    edges_.push_back({DataflowEdge::Kind::kRedistribution, redist.from_instance,
+                      redist.to_instance, redist.router, redist.router,
+                      redist.line});
+    Chain chain;
+    if (*redist.route_map) {
+      chain.route_map = compiler.route_map(*redist.config, **redist.route_map);
     }
-    edges_.push_back(std::move(edge));
-    aux.push_back(a);
+    chain.outbound = prop::compile_stanza_dir(compiler, *redist.config,
+                                              *redist.stanza, false);
+    chains.push_back(std::move(chain));
+  }
+  for (const auto& flow : problem.flows) {
+    edges_.push_back({DataflowEdge::Kind::kSession, flow.from_instance,
+                      flow.to_instance, flow.to_router, flow.from_router,
+                      flow.receiver_in.neighbor->line});
+    Chain chain;
+    chain.sender_out = prop::compile_session_dir(compiler, flow.sender_out,
+                                                 false);
+    chain.receiver_in = prop::compile_session_dir(compiler, flow.receiver_in,
+                                                  true);
+    chains.push_back(std::move(chain));
   }
 
-  // --- Seeds, mirroring the reachability engine's discovery.
+  // --- Seeds: the Problem's origination and local-RIB seeds, then BGP
+  // aggregates as unconditional origination (the abstract domain does not
+  // track the contained-more-specific trigger the concrete engine models —
+  // over-approximating keeps the rules sound for loop detection).
   std::vector<std::vector<RouteFact>> logs(n);
   std::vector<std::unordered_set<RouteFact, FactHash>> present(n);
   auto add_fact = [&](std::uint32_t inst, const RouteFact& fact) {
@@ -254,75 +172,12 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
     ++total_facts_;
     return true;
   };
-  // Origination: IGP covered subnets / BGP network statements.
-  for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
-    const auto& process = network.processes()[p];
-    const std::uint32_t inst = set.instance_of[p];
-    const auto& config = network.routers()[process.router];
-    const auto& stanza = config.router_stanzas[process.stanza_index];
-    if (config::is_conventional_igp(process.protocol)) {
-      for (const model::InterfaceId i : process.covered_interfaces) {
-        if (network.interfaces()[i].subnet) {
-          add_fact(inst, {inst, model::kInvalidId,
-                          {*network.interfaces()[i].subnet, std::nullopt}});
-        }
-      }
-    } else {
-      for (const auto& ns : stanza.networks) {
-        add_fact(inst, {inst, model::kInvalidId, {ns.prefix(), std::nullopt}});
-      }
-    }
+  for (const auto& seed : problem.seeds) {
+    add_fact(seed.instance, {seed.instance, model::kInvalidId, seed.route});
   }
-  // Local-RIB redistribution (connected / static) through its route-map.
-  for (const auto& redist : redists) {
-    if (redist.source_kind != model::RibKind::kLocal) continue;
-    const std::uint32_t inst = set.instance_of[redist.target_process];
-    const auto& target = network.processes()[redist.target_process];
-    const auto& config = network.routers()[redist.router];
-    const auto& command = config.router_stanzas[target.stanza_index]
-                              .redistributes[redist.redistribute_index];
-    std::vector<Route> local_routes;
-    if (command.source == config::RedistributeSource::kConnected ||
-        command.source == config::RedistributeSource::kProtocol) {
-      for (const model::InterfaceId i :
-           network.router_interfaces(redist.router)) {
-        if (network.interfaces()[i].subnet) {
-          local_routes.push_back({*network.interfaces()[i].subnet, {}});
-        }
-      }
-    }
-    if (command.source == config::RedistributeSource::kStatic) {
-      for (const auto& sr : config.static_routes) {
-        local_routes.push_back({sr.prefix(), {}});
-      }
-    }
-    for (const Route& route : local_routes) {
-      if (command.route_map) {
-        const auto* rm = compiler.route_map(config, *command.route_map);
-        if (rm != nullptr) {
-          const auto& verdict = rm->evaluate(route);
-          if (verdict.permitted) {
-            add_fact(inst, {inst, model::kInvalidId, verdict.route});
-          }
-          continue;
-        }
-      }
-      add_fact(inst, {inst, model::kInvalidId, route});
-    }
-  }
-  // BGP aggregates, as unconditional origination (the abstract domain does
-  // not track the contained-more-specific trigger the concrete engine
-  // models — over-approximating keeps the rules sound for loop detection).
-  for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
-    const auto& process = network.processes()[p];
-    if (process.protocol != config::RoutingProtocol::kBgp) continue;
-    const auto& stanza = network.routers()[process.router]
-                             .router_stanzas[process.stanza_index];
-    for (const auto& aggregate : stanza.aggregates) {
-      add_fact(set.instance_of[p],
-               {set.instance_of[p], model::kInvalidId,
-                {aggregate.prefix(), std::nullopt}});
-    }
+  for (const auto& point : problem.aggregate_points) {
+    add_fact(point.instance, {point.instance, model::kInvalidId,
+                              {point.prefix, std::nullopt}});
   }
 
   // --- Semi-naïve fixpoint: per-edge cursors into the source instance's
@@ -342,7 +197,7 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
     changed = false;
     for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
       const DataflowEdge& edge = edges_[ei];
-      const EdgeAux& a = aux[ei];
+      const Chain& chain = chains[ei];
       // Edges never target their own source, so the source log is stable
       // while this edge drains it.
       const std::size_t end = logs[edge.from].size();
@@ -351,14 +206,8 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
         if (edge.kind == DataflowEdge::Kind::kSession) {
           // AS-path loop prevention: BGP never re-learns its own routes.
           if (fact.origin == edge.to) continue;
-          if (!session_permits(compiler, a.sender_config, a.sender_out,
-                               /*inbound=*/false, fact.route)) {
-            continue;
-          }
-          if (!session_permits(compiler, a.config, a.receiver_in,
-                               /*inbound=*/true, fact.route)) {
-            continue;
-          }
+          if (!chain.sender_out.permits(fact.route)) continue;
+          if (!chain.receiver_in.permits(fact.route)) continue;
           RouteFact next = fact;
           if (next.exit_router == model::kInvalidId) {
             next.exit_router = edge.exit_router;
@@ -369,12 +218,12 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
         // Redistribution: route-map (unresolved names pass through, as in
         // IOS), then the target stanza's outbound distribute-lists.
         Route route = fact.route;
-        if (a.map != nullptr) {
-          const auto& verdict = a.map->evaluate(route);
+        if (chain.route_map != nullptr) {
+          const auto& verdict = chain.route_map->evaluate(route);
           if (!verdict.permitted) continue;
           route = verdict.route;
         }
-        if (!stanza_out_permits(*a.config, *a.target_stanza, route)) continue;
+        if (!chain.outbound.permits(route)) continue;
         if (fact.origin == edge.to) {
           // The instance's own route coming home. A same-router bounce is
           // broken by that router's RIB (it prefers what it already has);
@@ -404,9 +253,6 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
       cursor[ei] = end;
     }
   }
-
-  fact_counts_.reserve(n);
-  for (const auto& log : logs) fact_counts_.push_back(log.size());
 
   obs::counter("dataflow.runs").add();
   obs::counter("dataflow.facts").add(total_facts_);
@@ -579,10 +425,7 @@ std::vector<Finding> RedistributionSafety::unfiltered_mutual(
     if (why.empty()) continue;
     dir.open = true;
     dir.router = redist.router;
-    const auto& target = network.processes()[redist.target_process];
-    dir.line = config.router_stanzas[target.stanza_index]
-                   .redistributes[redist.redistribute_index]
-                   .line;
+    dir.line = redistribute_line(network, redist);
     dir.why = std::move(why);
   }
   std::vector<Finding> out;

@@ -1,7 +1,7 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,6 +56,11 @@ std::string_view metric_class_name(MetricClass cls) noexcept;
 /// audit_network report. (Shared by rules.cpp and the dataflow rules.)
 std::string instance_label(const graph::InstanceSet& set, std::uint32_t i);
 
+/// 1-based source line of the "redistribute" command behind a model edge.
+/// (Shared by rules.cpp and the dataflow rules.)
+std::size_t redistribute_line(const model::Network& network,
+                              const model::RedistributionEdge& edge);
+
 // --- Abstract domain ---------------------------------------------------------
 
 /// One abstract fact: a route plus its provenance. `exit_router` is
@@ -88,13 +93,8 @@ struct DataflowEdge {
   /// the sending endpoint for sessions. Facts with no exit stamp yet get
   /// this one when they cross.
   model::RouterId exit_router = model::kInvalidId;
-  /// Index into network.redistribution_edges() (kRedistribution) or
-  /// network.bgp_sessions() (kSession).
-  std::size_t model_index = 0;
   /// 1-based source line of the redistribute command / neighbor statement.
   std::size_t line = 0;
-  /// Route-map name annotating a redistribution edge, when present.
-  std::optional<std::string> route_map;
 };
 
 /// A route-map-permitted re-entry of an instance's own routes (the RD060
@@ -118,12 +118,15 @@ struct EntryRecord {
   std::size_t edge = 0;  // index into edges()
 };
 
-/// The fixpoint engine. Construction discovers edges and seeds (mirroring
-/// the reachability engine's discovery: IGP covered subnets, BGP network
-/// statements, connected/static redistribution through its route-map, BGP
-/// aggregates) and iterates to a fixpoint. All results are deterministic
-/// functions of the network — edges fire in index order, facts in log
-/// order — so rule output is byte-identical across thread counts.
+/// The fixpoint engine. Construction reads the network only through
+/// `prop::discover`, the discovery the reachability fixpoint and the
+/// simulator share: its redistribution edges then its internal EBGP flows
+/// become the edges, each guarded by its compiled policy chain, and its
+/// seeds plus its BGP aggregates (as unconditional origination) become the
+/// initial facts. It then iterates to a fixpoint. All results are
+/// deterministic functions of the network — edges fire in index order,
+/// facts in log order — so rule output is byte-identical across thread
+/// counts.
 class InstanceDataflow {
  public:
   InstanceDataflow(const model::Network& network,
@@ -136,10 +139,8 @@ class InstanceDataflow {
   const std::vector<EntryRecord>& entries() const noexcept {
     return entries_;
   }
-  /// Facts resident per instance after the fixpoint (seeds included).
-  const std::vector<std::size_t>& instance_fact_counts() const noexcept {
-    return fact_counts_;
-  }
+  /// Facts resident after the fixpoint, over all instances (seeds
+  /// included).
   std::size_t fact_count() const noexcept { return total_facts_; }
   std::size_t iterations() const noexcept { return iterations_; }
   /// False only if the safety cap on rounds was hit (cyclic tag rewriting
@@ -151,7 +152,6 @@ class InstanceDataflow {
   std::vector<DataflowEdge> edges_;
   std::vector<LoopEvent> loop_events_;
   std::vector<EntryRecord> entries_;
-  std::vector<std::size_t> fact_counts_;
   std::size_t total_facts_ = 0;
   std::size_t iterations_ = 0;
   bool converged_ = true;

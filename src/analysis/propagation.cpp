@@ -225,9 +225,10 @@ Problem discover(const model::Network& network,
     if (from == to) continue;
     const auto& config = network.routers()[redist.router];
     const auto& target = network.processes()[redist.target_process];
+    const auto& stanza = config.router_stanzas[target.stanza_index];
     problem.redist_edges.push_back(
-        {from, to, &config, &config.router_stanzas[target.stanza_index],
-         &redist.route_map, redist.router});
+        {from, to, &config, &stanza, &redist.route_map, redist.router,
+         stanza.redistributes[redist.redistribute_index].line});
   }
   return problem;
 }

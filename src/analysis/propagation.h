@@ -37,7 +37,7 @@ struct SessionPolicy {
   const config::BgpNeighbor* neighbor = nullptr;
 };
 
-/// Interpreting evaluation (the kNaive oracle path): named filters are
+/// Interpreting evaluation (run_naive's path): named filters are
 /// re-resolved in the owning config on every call.
 bool session_permits(const SessionPolicy& policy, bool inbound,
                      const model::Route& route);
@@ -94,6 +94,7 @@ struct RedistEdge {
   const config::RouterStanza* stanza = nullptr;  // target stanza
   const std::optional<std::string>* route_map = nullptr;
   model::RouterId router = model::kInvalidId;  // the redistributing router
+  std::size_t line = 0;  // 1-based line of the "redistribute" command
 };
 
 /// Both engines evaluate the same propagation rules; the Problem struct is
@@ -148,13 +149,17 @@ struct FixpointResult {
 
 /// The original full-rescan evaluator, kept byte-for-byte in semantics as
 /// the differential oracle: std::set storage, interpreting policy
-/// evaluation, deep-copied source sets, a global `changed` flag.
+/// evaluation, deep-copied source sets, a global `changed` flag. No product
+/// path reaches it; the differential tests and BM_Fixpoint_Naive call it
+/// directly.
 FixpointResult run_naive(const Problem& problem);
 
 /// The delta-driven evaluator: bitmap membership over the interned route
 /// domain, per-edge offered cursors, and a dirty-instance worklist. Each
 /// edge evaluates each source route exactly once over the run, through
-/// policies compiled once up front.
+/// policies compiled once up front. A `shuffle_seed` permutes the
+/// edge-processing order; the fixpoint is confluent, so results are
+/// unaffected, which the differential tests check over many seeds.
 FixpointResult run_semi_naive(const Problem& problem,
                               std::optional<std::uint64_t> shuffle_seed);
 

@@ -14,7 +14,6 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
     const Options& options) {
   obs::Span run_span("reachability.run", "reachability");
   run_span.arg("instances", instances.instances.size());
-  run_span.arg("naive", options.engine == Engine::kNaive ? 1 : 0);
   ReachabilityAnalysis analysis;
   const std::size_t n = instances.instances.size();
 
@@ -30,19 +29,16 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
       options.active_external_endpoints;
   const prop::Problem problem = prop::discover(
       network, instances, discover_options, analysis.external_origin_);
-  prop::FixpointResult result =
-      options.engine == Engine::kNaive
-          ? prop::run_naive(problem)
-          : prop::run_semi_naive(problem, options.shuffle_seed);
+  prop::FixpointResult result = prop::run_semi_naive(problem, {});
 
   analysis.routes_ = std::move(result.routes);
   analysis.announced_ = std::move(result.announced);
   analysis.iterations_ = result.iterations;
   analysis.converged_ = result.converged;
 
-  // Logical-event counters: identical totals for both engines and at every
-  // thread count (the fixpoint is confluent), so they belong in the
-  // deterministic counter set. Summed once here, not per add_route.
+  // Logical-event counters: identical totals at every thread count (the
+  // fixpoint is confluent), so they belong in the deterministic counter
+  // set. Summed once here, not per add_route.
   if (obs::counting_enabled()) {
     std::size_t total_routes = 0;
     for (const auto& routes : analysis.routes_) total_routes += routes.size();

@@ -23,26 +23,16 @@ namespace rd::analysis {
 /// every prefix the network's own policies mention (a finite universe that
 /// exercises every filter clause).
 ///
-/// Two evaluators compute the same fixpoint (DESIGN.md §9):
-///   - `Engine::kSemiNaive` (default): delta-driven propagation. Each
-///     instance's routes live in an append-only log; every propagation edge
-///     keeps a cursor into its source log and only examines routes appended
-///     since it last ran, driven by a worklist of dirty instances. Policies
-///     are compiled once per run (`model::PolicyCompiler`).
-///   - `Engine::kNaive`: the original full-rescan loop over `std::set`,
-///     interpreting named policies on every evaluation. Kept as the
-///     differential oracle; asymptotically slower but line-for-line the
-///     reference semantics.
-/// The propagation rules are monotone (routes are only ever added), so the
-/// fixpoint is confluent: both engines — and any edge-processing order, see
-/// `Options::shuffle_seed` — produce identical route sets.
+/// The fixpoint is `prop::run_semi_naive` (DESIGN.md §9): delta-driven
+/// propagation over an interned route domain, each edge evaluating each
+/// source route once through policies compiled once per run
+/// (`model::PolicyCompiler`). The propagation rules are monotone (routes
+/// are only ever added), so the fixpoint is confluent: the full-rescan
+/// oracle `prop::run_naive`, which the differential tests call directly
+/// on the same `prop::Problem`, and any edge-processing order produce
+/// identical route sets.
 class ReachabilityAnalysis {
  public:
-  enum class Engine : std::uint8_t {
-    kSemiNaive,  // delta-driven worklist + compiled policies (default)
-    kNaive,      // full-rescan reference evaluator (differential oracle)
-  };
-
   struct Options {
     /// Extra prefixes the external world advertises, beyond the default
     /// route and policy-mentioned prefixes.
@@ -54,11 +44,6 @@ class ReachabilityAnalysis {
     /// adjacencies. Used by the egress analysis to attribute external
     /// routes to entry points. Need not be sorted; the engine sorts a copy.
     std::optional<std::vector<std::size_t>> active_external_endpoints;
-    Engine engine = Engine::kSemiNaive;
-    /// When set, the semi-naïve engine shuffles its edge-processing order
-    /// from this seed. Results are unaffected (the fixpoint is confluent);
-    /// the differential stress test uses this to prove exactly that.
-    std::optional<std::uint64_t> shuffle_seed;
   };
 
   static ReachabilityAnalysis run(const model::Network& network,

@@ -247,16 +247,6 @@ redistribution_directions(const RuleContext& ctx) {
   return directed;
 }
 
-/// Source line of a redistribution edge's "redistribute" command.
-std::size_t redistribute_line(const model::Network& network,
-                              const model::RedistributionEdge& edge) {
-  const auto& process = network.processes()[edge.target_process];
-  return network.routers()[edge.router]
-      .router_stanzas[process.stanza_index]
-      .redistributes[edge.redistribute_index]
-      .line;
-}
-
 std::vector<Finding> rule_one_sided_redistribution(const RuleContext& ctx) {
   const auto directed = redistribution_directions(ctx);
   std::vector<Finding> out;

@@ -21,9 +21,16 @@ model::Network without_routers(const model::Network& network,
   return model::Network::build(std::move(configs));
 }
 
-FailureImpact simulate_router_failure(
+namespace {
+
+/// The structural impact of `failed` on `network`, given the degraded
+/// network `after` (without_routers) closed into `instances_after`, and the
+/// baseline's redistribution redundancy.
+FailureImpact structural_impact(
     const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<model::RouterId>& failed) {
+    const std::vector<model::RouterId>& failed, const model::Network& after,
+    const graph::InstanceSet& instances_after,
+    const std::vector<InstancePairRedundancy>& redundancy) {
   FailureImpact impact;
   impact.failed = failed;
   impact.instances_before = baseline.instances.size();
@@ -37,8 +44,6 @@ FailureImpact simulate_router_failure(
     if (!gone.contains(r)) new_router[r] = next++;
   }
 
-  const auto after = without_routers(network, failed);
-  const auto instances_after = graph::compute_instances(after);
   impact.instances_after = instances_after.instances.size();
 
   // Map each surviving baseline process to its new instance via the
@@ -66,8 +71,7 @@ FailureImpact simulate_router_failure(
   }
 
   // Severed pairs: every route-exchange router of the pair failed.
-  const auto graph = graph::InstanceGraph::build(network);
-  for (const auto& entry : redistribution_redundancy(network, graph)) {
+  for (const auto& entry : redundancy) {
     const bool all_gone =
         std::all_of(entry.connecting_routers.begin(),
                     entry.connecting_routers.end(),
@@ -76,8 +80,6 @@ FailureImpact simulate_router_failure(
   }
   return impact;
 }
-
-namespace {
 
 /// Iterative articulation-point computation (Hopcroft-Tarjan low-link) on
 /// one instance's router-level adjacency graph.
@@ -135,6 +137,15 @@ std::vector<model::RouterId> articulation_points(
 }
 
 }  // namespace
+
+FailureImpact simulate_router_failure(
+    const model::Network& network, const graph::InstanceSet& baseline,
+    const std::vector<model::RouterId>& failed) {
+  const auto after = without_routers(network, failed);
+  return structural_impact(
+      network, baseline, failed, after, graph::compute_instances(after),
+      redistribution_redundancy(network, graph::InstanceGraph::build(network)));
+}
 
 std::vector<ArticulationRouter> instance_articulation_routers(
     const model::Network& network, const graph::InstanceSet& instances) {
@@ -215,17 +226,22 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
     const ReachabilityAnalysis::Options& reach_options,
     util::ThreadPool& pool) {
   // Each scenario is an independent fixpoint on its own degraded network
-  // model; parallel_map puts result i in slot i, so the sweep's output is
+  // model, built once and shared by the structural and reachability
+  // halves; parallel_map puts result i in slot i, so the sweep's output is
   // identical at any thread count.
   obs::counter("sweep.scenarios").add(scenarios.size());
+  const auto redundancy =
+      redistribution_redundancy(network, graph::InstanceGraph::build(network));
   return util::parallel_map(pool, scenarios, [&](const FailureScenario& s) {
     obs::Span span("sweep.scenario", "reachability");
     span.label(s.name);
     ScenarioImpact impact;
     impact.scenario = s;
-    impact.structural = simulate_router_failure(network, baseline, s.failed);
     const auto degraded = without_routers(network, s.failed);
     const auto degraded_instances = graph::compute_instances(degraded);
+    impact.structural = structural_impact(network, baseline, s.failed,
+                                          degraded, degraded_instances,
+                                          redundancy);
     const auto reach =
         ReachabilityAnalysis::run(degraded, degraded_instances, reach_options);
     for (std::uint32_t i = 0; i < degraded_instances.instances.size(); ++i) {

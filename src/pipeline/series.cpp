@@ -7,6 +7,7 @@
 namespace rd::pipeline {
 
 model::Network build_network_cached(const std::vector<std::string>& texts,
+                                    const std::vector<std::string>& names,
                                     ParseCache& cache,
                                     util::ThreadPool& pool) {
   // Hash + lookup (+ parse on miss) in parallel; results land in input
@@ -14,19 +15,6 @@ model::Network build_network_cached(const std::vector<std::string>& texts,
   // serial path. The cache returns shared immutable results; the model
   // needs owned copies (Network::build moves its inputs in), and copying a
   // parsed config is far cheaper than re-parsing its text.
-  auto shared = util::parallel_map(
-      pool, texts,
-      [&cache](const std::string& text) { return cache.parse(text); });
-  std::vector<config::ParseResult> parses;
-  parses.reserve(shared.size());
-  for (const auto& entry : shared) parses.push_back(*entry);
-  return model::Network::build_parsed(std::move(parses));
-}
-
-model::Network build_network_cached(const std::vector<std::string>& texts,
-                                    const std::vector<std::string>& names,
-                                    ParseCache& cache,
-                                    util::ThreadPool& pool) {
   auto shared = util::parallel_map(
       pool, texts,
       [&cache](const std::string& text) { return cache.parse(text); });
@@ -56,7 +44,8 @@ SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
   std::optional<model::Network> previous;
   for (const auto& snapshot : series) {
     const auto before = cache.stats();
-    model::Network network = build_network_cached(snapshot.texts, cache, pool);
+    model::Network network =
+        build_network_cached(snapshot.texts, {}, cache, pool);
     const auto after = cache.stats();
 
     SnapshotReport entry;

@@ -48,15 +48,12 @@ struct SeriesReport {
   std::vector<analysis::DesignDiff> diffs;
 };
 
-/// Build one snapshot's model through the cache: texts are hashed and
-/// looked up (in parallel on `pool`), only unseen texts are parsed, and the
-/// model is built from the results merged in input index order — the same
-/// Network build_network_serial(texts) produces.
-model::Network build_network_cached(const std::vector<std::string>& texts,
-                                    ParseCache& cache,
-                                    util::ThreadPool& pool);
-
-/// Like the above, but stamps per-file source provenance onto the cached
+/// Build one model through the cache: texts are hashed and looked up (in
+/// parallel on `pool`), only unseen texts are parsed, and the model is
+/// built from the results merged in input index order — with `names`
+/// empty, the same Network build_network_serial(texts) produces.
+///
+/// Non-empty `names` stamp per-file source provenance onto the cached
 /// parses. The cache keys on content alone (so one text shared by many
 /// files still costs one parse); `names[i]` is then applied to the copy of
 /// parse `i` exactly the way `config::parse_config(text, name)` would have:

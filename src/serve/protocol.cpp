@@ -62,7 +62,6 @@ std::string encode_request(const Request& request) {
   if (!request.destination.empty()) {
     doc.set("destination", request.destination);
   }
-  if (request.naive) doc.set("naive", true);
   if (request.seed != 42) doc.set("seed", request.seed);
   if (request.until_ms != 0) doc.set("until_ms", request.until_ms);
   return doc.dump();
@@ -84,9 +83,6 @@ std::optional<Request> decode_request(std::string_view payload) {
   str("format", request.format);
   str("source", request.source);
   str("destination", request.destination);
-  if (const auto* naive = doc->get("naive"); naive != nullptr) {
-    request.naive = naive->bool_or(false);
-  }
   if (const auto* seed = doc->get("seed"); seed != nullptr) {
     request.seed = static_cast<std::uint64_t>(seed->int_or(42));
   }

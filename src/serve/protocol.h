@@ -27,7 +27,6 @@ struct Request {
   std::string format;  // rdlint: text | json | sarif (default text)
   std::string source;  // reachability / headerspace endpoint pair
   std::string destination;
-  bool naive = false;  // reachability: reference full-rescan engine
   /// simulate: the convergence-simulation seed and simulated-time cap
   /// (0 = automatic). Part of the response-cache key — two simulations
   /// with different seeds are different pure functions.

@@ -403,9 +403,6 @@ QueryResult reachability_report(const model::Network& network,
   }
 
   analysis::ReachabilityAnalysis::Options options;
-  if (request.naive) {
-    options.engine = analysis::ReachabilityAnalysis::Engine::kNaive;
-  }
   options.external_prefixes = request.external_prefixes;
   const auto reach =
       analysis::ReachabilityAnalysis::run(network, instances, options);

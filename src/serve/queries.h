@@ -84,7 +84,6 @@ std::int64_t instance_attached_to(const model::Network& network,
 /// One reachability_query invocation's worth of options.
 struct ReachabilityRequest {
   bool symbolic = false;  // exact header-space mode (--symbolic)
-  bool naive = false;     // reference engine (--naive)
   /// Endpoint pair (dotted quads). Both empty = the per-instance summary
   /// report (or, symbolic, the rd-intent verification report).
   std::string source;

@@ -87,7 +87,9 @@ void Service::record_latency(const std::string& op, double millis,
 
 Response Service::handle(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  obs::Span span("serve." + request.op, "serve");
+  // obs::Span keeps a view of its name: the string must outlive the span.
+  const std::string span_name = "serve." + request.op;
+  obs::Span span(span_name, "serve");
 
   Response response;
   const auto from_query = [&response](QueryResult qr) {
@@ -127,14 +129,13 @@ Response Service::handle(const Request& request) {
       cache_key.reserve(fleet->name.size() + request.op.size() +
                         request.format.size() + request.source.size() +
                         request.destination.size() + seed.size() +
-                        until.size() + 8);
+                        until.size() + 7);
       for (const auto* part : {&fleet->name, &request.op, &request.format,
                                &request.source, &request.destination, &seed,
                                &until}) {
         cache_key += *part;
         cache_key += '\0';
       }
-      cache_key += request.naive ? '1' : '0';
       std::lock_guard<std::mutex> lock(response_mutex_);
       if (const auto it = response_cache_.find(cache_key);
           it != response_cache_.end()) {
@@ -178,7 +179,6 @@ Response Service::handle(const Request& request) {
     } else {
       ReachabilityRequest reach;
       reach.symbolic = request.op == "headerspace";
-      reach.naive = request.naive;
       reach.source = request.source;
       reach.destination = request.destination;
       from_query(reachability_report(*fleet->network, fleet->graph->set,

@@ -168,6 +168,97 @@ TEST(Dataflow, Rd060QuietWhenDistanceDoesNotInvert) {
   EXPECT_TRUE(findings_for(result, "RD060").empty());
 }
 
+TEST(Dataflow, Rd060QuietWhenTargetStanzaFiltersTheLoopingPrefixes) {
+  // s's RIP stanza is the closing edge's target: an outbound
+  // distribute-list there filters what s redistributes into RIP. Both
+  // RIP-born prefixes (h's leaf and the shared link) travel the loop, so
+  // denying one moves the witness to the other, and denying both breaks it.
+  const auto spoke_with = [](const char* acl) {
+    return std::string("hostname s\n") + acl +
+           "interface Serial0\n"
+           " ip address 10.0.0.2 255.255.255.252\n"
+           "router rip\n"
+           " network 10.0.0.0 0.0.0.3\n"
+           " redistribute ospf 1 metric 5\n"
+           " distribute-list 5 out\n"
+           "router ospf 1\n"
+           " network 10.0.0.0 0.0.0.3 area 0\n";
+  };
+  const auto engine = RuleEngine::with_default_rules();
+  {
+    const auto net = network_of(
+        {kLoopHub, spoke_with("access-list 5 deny 10.1.0.0 0.0.0.255\n"
+                              "access-list 5 permit any\n")});
+    const auto graph = graph::InstanceGraph::build(net);
+    const InstanceDataflow flow(net, graph);
+    ASSERT_EQ(flow.loop_events().size(), 1u);
+    EXPECT_EQ(flow.loop_events()[0].witness.prefix.to_string(),
+              "10.0.0.0/30");
+    EXPECT_EQ(findings_for(engine.run(net), "RD060").size(), 1u);
+  }
+  const auto net = network_of(
+      {kLoopHub, spoke_with("access-list 5 deny 10.1.0.0 0.0.0.255\n"
+                            "access-list 5 deny 10.0.0.0 0.0.0.3\n"
+                            "access-list 5 permit any\n")});
+  const auto graph = graph::InstanceGraph::build(net);
+  EXPECT_TRUE(InstanceDataflow(net, graph).loop_events().empty());
+  EXPECT_TRUE(findings_for(engine.run(net), "RD060").empty());
+}
+
+// --- internal EBGP sessions --------------------------------------------------
+
+/// AS 100 on a (originating 10.1/24) and AS 200 on b (10.2/24), peered
+/// both ways over 10.0.0.0/30: two instances, one session edge each way.
+/// `a_extra` lands in a's BGP stanza, `b_extra` in b's; `policies` goes at
+/// the top of both configs.
+std::vector<std::string> ebgp_pair(const std::string& policies,
+                                   const std::string& a_extra,
+                                   const std::string& b_extra) {
+  return {"hostname a\n" + policies +
+              "interface Ethernet0\n ip address 10.1.0.1 255.255.255.0\n"
+              "interface Serial0\n ip address 10.0.0.1 255.255.255.252\n"
+              "router bgp 100\n"
+              " network 10.1.0.0 mask 255.255.255.0\n"
+              " neighbor 10.0.0.2 remote-as 200\n" +
+              a_extra,
+          "hostname b\n" + policies +
+              "interface Ethernet0\n ip address 10.2.0.1 255.255.255.0\n"
+              "interface Serial0\n ip address 10.0.0.2 255.255.255.252\n"
+              "router bgp 200\n"
+              " network 10.2.0.0 mask 255.255.255.0\n"
+              " neighbor 10.0.0.1 remote-as 100\n" +
+              b_extra};
+}
+
+std::size_t ebgp_pair_facts(const std::vector<std::string>& configs) {
+  const auto net = network_of(configs);
+  const auto graph = graph::InstanceGraph::build(net);
+  const InstanceDataflow flow(net, graph);
+  EXPECT_EQ(flow.edges().size(), 2u);
+  for (const auto& edge : flow.edges()) {
+    EXPECT_EQ(edge.kind, DataflowEdge::Kind::kSession);
+  }
+  return flow.fact_count();
+}
+
+TEST(Dataflow, SessionPoliciesGuardTheCrossing) {
+  // Unfiltered: each AS holds its own prefix and the peer's.
+  EXPECT_EQ(ebgp_pair_facts(ebgp_pair("", "", "")), 4u);
+  // a's outbound prefix-list toward b denies a's own prefix: only b's
+  // prefix still crosses.
+  EXPECT_EQ(ebgp_pair_facts(ebgp_pair(
+                "ip prefix-list NO1 seq 5 deny 10.1.0.0/24\n"
+                "ip prefix-list NO1 seq 10 permit 0.0.0.0/0 le 32\n",
+                " neighbor 10.0.0.2 prefix-list NO1 out\n", "")),
+            3u);
+  // b's inbound distribute-list from a denies the same prefix.
+  EXPECT_EQ(ebgp_pair_facts(ebgp_pair(
+                "access-list 7 deny 10.1.0.0 0.0.0.255\n"
+                "access-list 7 permit any\n",
+                "", " neighbor 10.0.0.1 distribute-list 7 in\n")),
+            3u);
+}
+
 // --- RD061: metric loss ------------------------------------------------------
 
 TEST(Dataflow, Rd061FlagsMetriclessCrossClassBoundary) {

@@ -116,7 +116,7 @@ TEST(ParseDiagnostics, SerialParallelAndCachedPathsAgree) {
     util::ThreadPool pool(threads);
     for (int round = 0; round < 2; ++round) {
       EXPECT_EQ(pipeline::network_signature(
-                    pipeline::build_network_cached(texts, cache, pool)),
+                    pipeline::build_network_cached(texts, {}, cache, pool)),
                 reference)
           << "cached threads " << threads << " round " << round;
     }

@@ -149,7 +149,7 @@ TEST(ParseCache, CachedBuildMatchesSerialAtEveryThreadCount) {
     pipeline::ParseCache cache;
     util::ThreadPool pool(threads);
     for (int round = 0; round < 3; ++round) {
-      const auto network = pipeline::build_network_cached(texts, cache, pool);
+      const auto network = pipeline::build_network_cached(texts, {}, cache, pool);
       EXPECT_EQ(pipeline::network_signature(network), reference)
           << "threads " << threads << " round " << round;
     }
@@ -203,7 +203,7 @@ TEST(Stress, ConcurrentCacheParsesStayDeterministic) {
   pipeline::ParseCache cache;
   util::ThreadPool pool(8);
   for (int round = 0; round < 25; ++round) {
-    const auto network = pipeline::build_network_cached(texts, cache, pool);
+    const auto network = pipeline::build_network_cached(texts, {}, cache, pool);
     ASSERT_EQ(pipeline::network_signature(network), reference)
         << "round " << round;
   }

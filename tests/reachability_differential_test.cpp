@@ -1,7 +1,8 @@
-// Differential tests for the reachability engines: the semi-naïve
-// delta-propagation engine must produce results identical to the naïve
-// full-rescan oracle (`Engine::kNaive`) on every synthetic archetype, with
-// any endpoint subset, at any thread count, and under randomized edge
+// Differential tests for the reachability engines: ReachabilityAnalysis
+// (the semi-naïve delta-propagation engine) must produce results identical
+// to the naïve full-rescan oracle `prop::run_naive`, called here directly
+// on the same `prop::Problem`, on every synthetic archetype, with any
+// endpoint subset, at any thread count, and under randomized edge
 // orderings. The propagation rules are monotone, so the fixpoint is
 // confluent — identical outputs are a theorem the suite checks empirically.
 //
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "analysis/egress.h"
+#include "analysis/propagation.h"
 #include "analysis/reachability.h"
 #include "analysis/whatif.h"
 #include "graph/instances.h"
@@ -29,7 +31,6 @@
 namespace rd::analysis {
 namespace {
 
-using Engine = ReachabilityAnalysis::Engine;
 using Options = ReachabilityAnalysis::Options;
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
@@ -46,7 +47,7 @@ struct Case {
   std::string name;
   model::Network network;
   graph::InstanceSet instances;
-  Options options;  // external prefixes etc.; engine overridden per run
+  Options options;  // external prefixes etc.
 };
 
 Case make_case(std::string name, const synth::SynthNetwork& net,
@@ -105,42 +106,70 @@ std::vector<Case> differential_cases() {
   return cases;
 }
 
-void expect_identical(const Case& c, const ReachabilityAnalysis& oracle,
+/// The Problem ReachabilityAnalysis::run builds for these options.
+prop::Problem problem_for(const model::Network& network,
+                          const graph::InstanceSet& instances,
+                          const Options& options) {
+  prop::DiscoverOptions discover;
+  discover.max_iterations = options.max_iterations;
+  discover.active_external_endpoints = options.active_external_endpoints;
+  return prop::discover(
+      network, instances, discover,
+      prop::external_universe(network, options.external_prefixes));
+}
+
+/// The oracle's answer for a case under `options`.
+prop::FixpointResult oracle_for(const Case& c, const Options& options) {
+  return prop::run_naive(problem_for(c.network, c.instances, options));
+}
+
+/// A route set is internet-reaching when it holds the default route, which
+/// sorts first.
+bool holds_default(const std::vector<model::Route>& routes) {
+  return !routes.empty() && routes.front().prefix.length() == 0;
+}
+
+void expect_identical(const Case& c, const prop::FixpointResult& oracle,
                       const ReachabilityAnalysis& candidate,
                       const std::string& label) {
-  EXPECT_EQ(oracle.converged(), candidate.converged()) << c.name << " " << label;
-  EXPECT_EQ(oracle.announced_externally(), candidate.announced_externally())
+  EXPECT_EQ(oracle.converged, candidate.converged()) << c.name << " " << label;
+  EXPECT_EQ(oracle.announced, candidate.announced_externally())
       << c.name << " " << label << ": announced sets differ";
+  ASSERT_EQ(oracle.routes.size(), c.instances.instances.size())
+      << c.name << " " << label;
   for (std::uint32_t i = 0; i < c.instances.instances.size(); ++i) {
-    EXPECT_EQ(oracle.instance_routes(i), candidate.instance_routes(i))
+    EXPECT_EQ(oracle.routes[i], candidate.instance_routes(i))
         << c.name << " " << label << ": instance " << i << " routes differ ("
-        << oracle.instance_routes(i).size() << " vs "
+        << oracle.routes[i].size() << " vs "
         << candidate.instance_routes(i).size() << ")";
-    EXPECT_EQ(oracle.instance_reaches_internet(i),
+    EXPECT_EQ(holds_default(oracle.routes[i]),
               candidate.instance_reaches_internet(i))
-        << c.name << " " << label << ": instance " << i;
-    EXPECT_EQ(oracle.external_route_count(i),
-              candidate.external_route_count(i))
         << c.name << " " << label << ": instance " << i;
   }
 }
 
+void expect_identical(const Case& c, const prop::FixpointResult& oracle,
+                      const prop::FixpointResult& candidate,
+                      const std::string& label) {
+  EXPECT_EQ(oracle.converged, candidate.converged) << c.name << " " << label;
+  EXPECT_EQ(oracle.announced, candidate.announced)
+      << c.name << " " << label << ": announced sets differ";
+  EXPECT_EQ(oracle.routes, candidate.routes)
+      << c.name << " " << label << ": route sets differ";
+}
+
 TEST(ReachabilityDifferential, EnginesAgreeAcrossFleet) {
   for (const auto& c : differential_cases()) {
-    Options naive = c.options;
-    naive.engine = Engine::kNaive;
-    Options semi = c.options;
-    semi.engine = Engine::kSemiNaive;
-    const auto oracle =
-        ReachabilityAnalysis::run(c.network, c.instances, naive);
-    const auto fast = ReachabilityAnalysis::run(c.network, c.instances, semi);
-    ASSERT_TRUE(oracle.converged()) << c.name;
+    const auto oracle = oracle_for(c, c.options);
+    const auto fast = ReachabilityAnalysis::run(c.network, c.instances,
+                                                c.options);
+    ASSERT_TRUE(oracle.converged) << c.name;
     expect_identical(c, oracle, fast, "semi-naive");
     // The derived covering queries must agree too (they run on the trie in
-    // one engine's output representation, linear scans in neither).
+    // the analysis's output representation).
     bool any_route = false;
     for (std::uint32_t i = 0; i < c.instances.instances.size(); ++i) {
-      for (const auto& route : oracle.instance_routes(i)) {
+      for (const auto& route : oracle.routes[i]) {
         if (route.prefix.length() == 0) continue;
         any_route = true;
         EXPECT_TRUE(fast.instance_has_route_to(i, route.prefix.network()))
@@ -158,15 +187,11 @@ TEST(ReachabilityDifferential, EnginesAgreeWithEndpointSubsets) {
   for (const std::vector<std::size_t>& subset :
        {std::vector<std::size_t>{}, std::vector<std::size_t>{0},
         std::vector<std::size_t>{1}, std::vector<std::size_t>{1, 0}}) {
-    Options naive = net15.options;
-    naive.active_external_endpoints = subset;  // unsorted accepted
-    naive.engine = Engine::kNaive;
-    Options semi = naive;
-    semi.engine = Engine::kSemiNaive;
-    const auto oracle =
-        ReachabilityAnalysis::run(net15.network, net15.instances, naive);
+    Options options = net15.options;
+    options.active_external_endpoints = subset;  // unsorted accepted
+    const auto oracle = oracle_for(net15, options);
     const auto fast =
-        ReachabilityAnalysis::run(net15.network, net15.instances, semi);
+        ReachabilityAnalysis::run(net15.network, net15.instances, options);
     expect_identical(net15, oracle, fast,
                      "endpoints=" + std::to_string(subset.size()));
   }
@@ -178,16 +203,11 @@ TEST(ReachabilityDifferential, ShuffledEdgeOrderingsAreConfluent) {
   const std::uint64_t seeds = env_u64("RD_FUZZ_SEEDS", 8);
   const auto cases = differential_cases();
   for (const auto* c : {&cases[1], &cases[5]}) {  // net15 + managed
-    Options naive = c->options;
-    naive.engine = Engine::kNaive;
-    const auto oracle =
-        ReachabilityAnalysis::run(c->network, c->instances, naive);
+    const auto problem = problem_for(c->network, c->instances, c->options);
+    const auto oracle = prop::run_naive(problem);
     for (std::uint64_t s = 0; s < seeds; ++s) {
-      Options semi = c->options;
-      semi.engine = Engine::kSemiNaive;
-      semi.shuffle_seed = s * 0x9e3779b97f4a7c15ULL + 1;
       const auto shuffled =
-          ReachabilityAnalysis::run(c->network, c->instances, semi);
+          prop::run_semi_naive(problem, s * 0x9e3779b97f4a7c15ULL + 1);
       expect_identical(*c, oracle, shuffled,
                        "shuffle seed " + std::to_string(s));
     }
@@ -232,21 +252,36 @@ TEST(ReachabilityDifferential, WhatIfSweepIdenticalAcrossThreadsAndEngines) {
   }
   ASSERT_FALSE(scenarios.empty());
 
-  Options semi;
-  semi.engine = Engine::kSemiNaive;
+  const Options options;
   const auto serial =
-      sweep_failure_scenarios(network, graph.set, scenarios, semi, 1);
+      sweep_failure_scenarios(network, graph.set, scenarios, options, 1);
   for (const std::size_t threads : {2UL, 8UL}) {
-    const auto parallel =
-        sweep_failure_scenarios(network, graph.set, scenarios, semi, threads);
+    const auto parallel = sweep_failure_scenarios(network, graph.set,
+                                                  scenarios, options, threads);
     expect_same_sweep(serial, parallel,
                       "threads=" + std::to_string(threads));
   }
-  // And the naïve engine, swept in parallel, matches the semi-naïve sweep.
-  Options naive;
-  naive.engine = Engine::kNaive;
-  const auto oracle =
-      sweep_failure_scenarios(network, graph.set, scenarios, naive, 8);
+  // And the oracle, scenario by scenario: rebuild the degraded network,
+  // run the naïve fixpoint on it, and summarize it the way the sweep does.
+  // The structural half comes from simulate_router_failure, which builds
+  // its own degraded network.
+  std::vector<ScenarioImpact> oracle;
+  for (const auto& s : scenarios) {
+    ScenarioImpact impact;
+    impact.scenario = s;
+    impact.structural = simulate_router_failure(network, graph.set, s.failed);
+    const auto degraded = without_routers(network, s.failed);
+    const auto degraded_instances = graph::compute_instances(degraded);
+    const auto result =
+        prop::run_naive(problem_for(degraded, degraded_instances, options));
+    for (const auto& routes : result.routes) {
+      if (holds_default(routes)) ++impact.instances_reaching_internet;
+      impact.total_routes += routes.size();
+    }
+    impact.announced_externally = result.announced.size();
+    impact.reachability_converged = result.converged;
+    oracle.push_back(std::move(impact));
+  }
   expect_same_sweep(serial, oracle, "naive oracle sweep");
 }
 
@@ -279,23 +314,23 @@ TEST(ReachabilityDifferential, NonConvergenceIsSurfacedByBothEngines) {
   const auto net15 = synth::make_net15();
   const auto network = model::Network::build(synth::reparse(net15.configs));
   const auto instances = graph::compute_instances(network);
-  for (const Engine engine : {Engine::kNaive, Engine::kSemiNaive}) {
-    Options truncated;
-    truncated.external_prefixes = {plan.ab0, plan.external_left,
-                                   plan.external_right};
-    truncated.engine = engine;
-    truncated.max_iterations = 1;
-    const auto cut =
-        ReachabilityAnalysis::run(network, instances, truncated);
-    EXPECT_FALSE(cut.converged());
-    EXPECT_FALSE(cut.convergence_warning().empty());
+  Options truncated;
+  truncated.external_prefixes = {plan.ab0, plan.external_left,
+                                 plan.external_right};
+  truncated.max_iterations = 1;
+  Options full = truncated;
+  full.max_iterations = 64;
 
-    Options full = truncated;
-    full.max_iterations = 64;
-    const auto done = ReachabilityAnalysis::run(network, instances, full);
-    EXPECT_TRUE(done.converged());
-    EXPECT_TRUE(done.convergence_warning().empty());
-  }
+  const auto cut = ReachabilityAnalysis::run(network, instances, truncated);
+  EXPECT_FALSE(cut.converged());
+  EXPECT_FALSE(cut.convergence_warning().empty());
+  const auto done = ReachabilityAnalysis::run(network, instances, full);
+  EXPECT_TRUE(done.converged());
+  EXPECT_TRUE(done.convergence_warning().empty());
+
+  EXPECT_FALSE(
+      prop::run_naive(problem_for(network, instances, truncated)).converged);
+  EXPECT_TRUE(prop::run_naive(problem_for(network, instances, full)).converged);
 }
 
 TEST(ReachabilityDifferential, PipelineReportCarriesConvergence) {

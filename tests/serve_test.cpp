@@ -22,6 +22,7 @@
 #include "config/writer.h"
 #include "graph/instances.h"
 #include "model/network.h"
+#include "obs/obs.h"
 #include "pipeline/parse_cache.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/series.h"
@@ -140,14 +141,12 @@ TEST(ServeProtocol, RequestAndResponseJsonRoundTrip) {
   request.fleet = "corp";
   request.source = "10.0.0.1";
   request.destination = "10.0.1.1";
-  request.naive = true;
   const auto decoded = serve::decode_request(serve::encode_request(request));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->op, request.op);
   EXPECT_EQ(decoded->fleet, request.fleet);
   EXPECT_EQ(decoded->source, request.source);
   EXPECT_EQ(decoded->destination, request.destination);
-  EXPECT_TRUE(decoded->naive);
 
   serve::Response response;
   response.ok = false;
@@ -232,7 +231,6 @@ serve::QueryResult reference_result(const serve::Request& request,
   }
   serve::ReachabilityRequest reach;
   reach.symbolic = request.op == "headerspace";
-  reach.naive = request.naive;
   reach.source = request.source;
   reach.destination = request.destination;
   return serve::reachability_report(ref.network, ref.graph.set, reach);
@@ -344,6 +342,64 @@ TEST(ServeService, DispatchErrorsAndHousekeepingOps) {
   EXPECT_NE(stats.output.find("\"response_cache\""), std::string::npos);
   EXPECT_NE(stats.output.find("\"p99_ms\""), std::string::npos);
   EXPECT_NE(stats.output.find("\"queue_depth\""), std::string::npos);
+}
+
+TEST(ServeService, LegacyNaiveFieldStillGetsAnAnswer) {
+  // Clients from before the naïve engine left the wire may still send
+  // "naive": unknown keys are ignored, so the request decodes and is
+  // answered by the one engine there is.
+  const auto legacy =
+      serve::decode_request(R"({"op":"reachability","naive":true})");
+  ASSERT_TRUE(legacy.has_value());
+  EXPECT_EQ(legacy->op, "reachability");
+  EXPECT_EQ(serve::encode_request(*legacy),
+            serve::encode_request(op_request("reachability")));
+
+  serve::Service::Options options;
+  options.threads = 1;
+  serve::Service service(options);
+  service.add_fleet("corp", fleet_dir().string());
+  util::ThreadPool pool(1);
+  const auto response = service.handle(*legacy);
+  EXPECT_TRUE(response.ok);
+  EXPECT_EQ(response.output, reference_result(*legacy, pool).output);
+}
+
+TEST(ServeService, TracedSpansAreNamedAfterTheirOp) {
+  // obs::Span keeps a view of its name; a name built per request must
+  // outlive the span, or the trace records whatever reused its bytes.
+  auto& registry = obs::Registry::instance();
+  registry.set_tracing(false);
+  registry.reset();
+  serve::Service::Options options;
+  options.threads = 1;
+  serve::Service service(options);  // no fleets: analysis ops fail fast
+  serve::Request missing_fleet = op_request("reachability");
+  missing_fleet.fleet = "nope";
+  registry.set_tracing(true);
+  for (const auto& request :
+       {op_request("ping"), op_request("stats"), op_request("frobnicate"),
+        missing_fleet}) {
+    service.handle(request);
+  }
+  registry.set_tracing(false);
+  const auto doc = util::Json::parse(registry.trace_json());
+  registry.reset();
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const auto* cat = events->at(i)->get("cat");
+    if (cat == nullptr || cat->if_string() == nullptr ||
+        *cat->if_string() != "serve") {
+      continue;
+    }
+    names.push_back(*events->at(i)->get("name")->if_string());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"serve.ping", "serve.stats",
+                                             "serve.frobnicate",
+                                             "serve.reachability"}));
 }
 
 TEST(ServeService, RepeatAnalysisRequestsHitTheResponseCache) {
