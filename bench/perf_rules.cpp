@@ -1,9 +1,9 @@
-// Design-rule engine benchmarks: whole-registry runs (serial and on a
-// pool) plus one timer per registered rule, so a regression in a single
-// rule's cost is visible in isolation. The per-rule wall times the engine
-// itself records (`RuleEngine::Result::timings`) are what `rdlint
-// --timings` prints; BM_RuleEngine/rule/* cross-checks them under the
-// benchmark harness's statistics.
+// Design-rule engine benchmarks: whole-registry runs (on a one-thread pool,
+// the serial loop, and on wider ones) plus one timer per registered rule, so
+// a regression in a single rule's cost is visible in isolation. The per-rule
+// wall times the engine itself records (`RuleEngine::Result::timings`) are
+// what `rdlint --timings` prints; BM_RuleEngine/rule/* cross-checks them
+// under the benchmark harness's statistics.
 
 #include <benchmark/benchmark.h>
 
@@ -43,9 +43,10 @@ void BM_RuleEngine_Serial(benchmark::State& state) {
       managed_network(static_cast<std::uint32_t>(state.range(0)));
   const auto graph = graph::InstanceGraph::build(network);
   const auto engine = analysis::RuleEngine::with_default_rules();
+  util::ThreadPool serial(1);  // concurrency 1: the serial loop
   std::size_t findings = 0;
   for (auto _ : state) {
-    auto result = engine.run(network, graph);
+    auto result = engine.run(network, graph, serial);
     findings = result.findings.size();
     benchmark::DoNotOptimize(result);
   }
@@ -67,7 +68,9 @@ BENCHMARK(BM_RuleEngine_Pool)->Arg(1)->Arg(2)->Arg(4);
 
 // One benchmark per registered rule, named by rule id, so `--benchmark_
 // filter=BM_RuleEngine/rule/RD04` isolates the cross-router rules. The
-// instance graph is prebuilt; each iteration pays only the rule body.
+// instance graph is prebuilt; each iteration runs the rule body on a fresh
+// context, so it also pays for any shared fact (fixpoint, intents,
+// dataflow) the rule is the first to ask for.
 void BM_RuleEngine_Rule(benchmark::State& state, const std::string& rule_id) {
   static const auto network = managed_network(16);
   static const auto graph = graph::InstanceGraph::build(network);
@@ -80,9 +83,9 @@ void BM_RuleEngine_Rule(benchmark::State& state, const std::string& rule_id) {
     state.SkipWithError("unknown rule id");
     return;
   }
-  const analysis::RuleContext ctx{network, graph, engine.options()};
   std::size_t findings = 0;
   for (auto _ : state) {
+    const analysis::Context ctx(network, graph);
     auto out = rule->fn(ctx);
     findings = out.size();
     benchmark::DoNotOptimize(out);
@@ -105,6 +108,7 @@ const int kRegistered = [] {
 // this one scales the network instead, because the dataflow rules are the
 // only ones whose cost grows with the number of *instances* rather than
 // routers, and the managed archetype's instance count grows with spokes.
+// Each iteration's fresh context builds the dataflow once for the band.
 void BM_RedistributionBand(benchmark::State& state) {
   const auto network =
       managed_network(static_cast<std::uint32_t>(state.range(0)));
@@ -116,9 +120,9 @@ void BM_RedistributionBand(benchmark::State& state) {
       band.push_back(&rule);
     }
   }
-  const analysis::RuleContext ctx{network, graph, engine.options()};
   std::size_t findings = 0;
   for (auto _ : state) {
+    const analysis::Context ctx(network, graph);
     findings = 0;
     for (const auto* rule : band) {
       auto out = rule->fn(ctx);
@@ -132,8 +136,8 @@ void BM_RedistributionBand(benchmark::State& state) {
 BENCHMARK(BM_RedistributionBand)->Arg(8)->Arg(24);
 
 // The fixpoint engine alone: edge discovery, seeding, and iteration to
-// convergence. This is the fixed cost RD060 and RD062 each pay before
-// their rule logic runs.
+// convergence. This is the fixed cost a run's context pays once, on first
+// use, for RD060 and RD062 together.
 void BM_InstanceDataflow(benchmark::State& state) {
   const auto network =
       managed_network(static_cast<std::uint32_t>(state.range(0)));

@@ -46,7 +46,7 @@
 static int run(int argc, char** argv) {
   using namespace rd;
 
-  pipeline::Options options;
+  std::size_t threads = 0;
   cli::ObsOptions obs_options;
   bool whatif_only = false;
   const char* config_dir = nullptr;
@@ -86,20 +86,23 @@ static int run(int argc, char** argv) {
       continue;
     }
     if (std::strcmp(argv[i], "--threads") == 0) {
-      if (!cli::parse_threads(i + 1 < argc ? argv[++i] : nullptr,
-                              options.threads)) {
+      if (!cli::parse_threads(i + 1 < argc ? argv[++i] : nullptr, threads)) {
         std::fprintf(stderr, "--threads wants an integer in [1, 1024]\n");
         return 2;
       }
     } else if (std::strcmp(argv[i], "--whatif") == 0) {
       whatif_only = true;
+    } else if (config_dir != nullptr) {
+      std::fprintf(stderr, "unexpected argument '%s': audit_network takes "
+                           "one config directory\n", argv[i]);
+      return 2;
     } else {
       config_dir = argv[i];
     }
   }
   obs_options.enable();
 
-  util::ThreadPool pool(options.threads);
+  util::ThreadPool pool(threads);
   std::optional<model::Network> network;
   if (config_dir != nullptr) {
     if (!std::filesystem::is_directory(config_dir)) {
@@ -128,7 +131,7 @@ static int run(int argc, char** argv) {
     }
     std::printf("(auditing a generated managed enterprise; pass a config "
                 "directory to audit your own network)\n\n");
-    network = pipeline::build_network_parallel(texts, options);
+    network = pipeline::build_network_parallel(texts, pool);
   }
 
   const auto ig = graph::InstanceGraph::build(*network);

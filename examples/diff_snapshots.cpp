@@ -24,6 +24,7 @@
 #include "pipeline/series.h"
 #include "synth/archetypes.h"
 #include "synth/emit.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -80,7 +81,8 @@ int run_series(int argc, char** argv) {
   }
 
   pipeline::ParseCache cache;
-  const auto report = pipeline::analyze_snapshot_series(series, cache);
+  util::ThreadPool pool;
+  const auto report = pipeline::analyze_snapshot_series(series, cache, pool);
 
   for (std::size_t i = 0; i < report.snapshots.size(); ++i) {
     const auto& snap = report.snapshots[i];

@@ -205,19 +205,21 @@ static int run(int argc, char** argv) {
                                              cache, pool);
     result = engine.run(*network, pool);
   } else {
-    // Snapshot series: unchanged routers cost one hash, not one parse.
+    // Snapshot series: unchanged routers cost one hash, not one parse. The
+    // names give each snapshot the single-directory run's file provenance.
     pipeline::ParseCache cache;
     std::vector<std::string> previous;
     for (std::size_t s = 0; s < dirs.size(); ++s) {
-      auto texts = synth::load_network_texts(dirs[s]);
-      if (texts.empty()) {
+      const auto loaded = synth::load_network_texts_named(dirs[s]);
+      if (loaded.texts.empty()) {
         std::fprintf(stderr, "no configuration files in %s\n",
                      dirs[s].string().c_str());
         return 2;
       }
       name = dirs[s].filename().string();
       if (name.empty()) name = dirs[s].string();
-      network = pipeline::build_network_cached(texts, {}, cache, pool);
+      network = pipeline::build_network_cached(loaded.texts, loaded.names,
+                                               cache, pool);
       result = engine.run(*network, pool);
       if (s > 0) {
         const auto delta = analysis::diff_against_baseline(result->findings,

@@ -21,6 +21,7 @@
 //   reachability_query --trace FILE          # Chrome trace-event JSON of
 //                                            # the fixpoint rounds
 //   reachability_query --metrics             # event counters on stderr
+//   reachability_query --help                # options and exit codes
 //
 // Exit codes: 0 = query answered, 2 = usage or I/O error.
 
@@ -46,6 +47,29 @@ static int run(int argc, char** argv) {
   cli::ObsOptions obs_options;
   std::vector<const char*> positional;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--help") == 0 ||
+        std::strcmp(argv[i], "-h") == 0) {
+      std::printf(
+          "usage: reachability_query [<config-dir> [A B]] [--symbolic]\n"
+          "                          [--trace FILE] [--metrics]\n"
+          "\n"
+          "Policy-aware route propagation over the routing instances:\n"
+          "per-instance routes and Internet reach, or whether addresses A\n"
+          "and B can communicate both ways. With no config-dir the\n"
+          "generated net15 case study is queried.\n"
+          "\n"
+          "options:\n"
+          "  --symbolic     exact header-space analysis: with A B, the\n"
+          "                 packet set passing A -> B; without, verify the\n"
+          "                 \"! rd-intent\" assertions\n"
+          "  --trace FILE   write a Chrome trace-event JSON file\n"
+          "  --metrics      dump deterministic event counters to stderr\n"
+          "\n"
+          "exit codes:\n"
+          "  0  query answered\n"
+          "  2  usage or I/O error\n");
+      return 0;
+    }
     bool obs_error = false;
     if (obs_options.consume(argc, argv, i, &obs_error)) {
       if (obs_error) return 2;
@@ -53,6 +77,14 @@ static int run(int argc, char** argv) {
     }
     if (std::strcmp(argv[i], "--symbolic") == 0) {
       request.symbolic = true;
+    } else if (argv[i][0] == '-') {
+      std::fprintf(stderr, "unknown option '%s' (see --help)\n", argv[i]);
+      return 2;
+    } else if (positional.size() == 3) {
+      std::fprintf(stderr, "unexpected argument '%s': reachability_query "
+                           "takes a config directory and two addresses\n",
+                   argv[i]);
+      return 2;
     } else {
       positional.push_back(argv[i]);
     }
@@ -81,10 +113,10 @@ static int run(int argc, char** argv) {
     std::printf("(querying the generated net15 case study; pass a config "
                 "directory for your own network)\n\n");
   }
-  if (positional.size() > 2) {
-    request.source = positional[1];
-    request.destination = positional[2];
-  }
+  // A lone address reaches reachability_report, which rejects it with exit
+  // 2, the check a daemon request gets too.
+  if (positional.size() > 1) request.source = positional[1];
+  if (positional.size() > 2) request.destination = positional[2];
 
   const auto instances = graph::compute_instances(*network);
   const auto report =

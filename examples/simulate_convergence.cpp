@@ -124,6 +124,10 @@ static int run(int argc, char** argv) {
       options.record_log = true;
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
       fleet = true;
+    } else if (config_dir != nullptr) {
+      std::fprintf(stderr, "unexpected argument '%s': simulate_convergence "
+                           "takes one config directory\n", argv[i]);
+      return 2;
     } else {
       config_dir = argv[i];
     }

@@ -263,9 +263,9 @@ InstanceDataflow::InstanceDataflow(const model::Network& network,
 // --- RD060: redistribution loop ---------------------------------------------
 
 std::vector<Finding> RedistributionSafety::redistribution_loop(
-    const RuleContext& ctx) {
+    const Context& ctx) {
   std::vector<Finding> out;
-  InstanceDataflow flow(ctx.network, ctx.graph);
+  const InstanceDataflow& flow = ctx.dataflow();
   const auto& set = ctx.graph.set;
   for (const LoopEvent& event : flow.loop_events()) {
     const DataflowEdge& edge = flow.edges()[event.edge];
@@ -294,7 +294,7 @@ std::vector<Finding> RedistributionSafety::redistribution_loop(
 
 // --- RD061: metric loss at a boundary ---------------------------------------
 
-std::vector<Finding> RedistributionSafety::metric_loss(const RuleContext& ctx) {
+std::vector<Finding> RedistributionSafety::metric_loss(const Context& ctx) {
   std::vector<Finding> out;
   const auto& set = ctx.graph.set;
   const auto& network = ctx.network;
@@ -342,9 +342,9 @@ std::vector<Finding> RedistributionSafety::metric_loss(const RuleContext& ctx) {
 // --- RD062: administrative-distance inversion --------------------------------
 
 std::vector<Finding> RedistributionSafety::distance_inversion(
-    const RuleContext& ctx) {
+    const Context& ctx) {
   std::vector<Finding> out;
-  InstanceDataflow flow(ctx.network, ctx.graph);
+  const InstanceDataflow& flow = ctx.dataflow();
   const auto& set = ctx.graph.set;
   for (const EntryRecord& entry : flow.entries()) {
     const auto origin_proto = set.instances[entry.origin].protocol;
@@ -391,7 +391,7 @@ std::vector<Finding> RedistributionSafety::distance_inversion(
 // --- RD063: mutual redistribution without a filter ---------------------------
 
 std::vector<Finding> RedistributionSafety::unfiltered_mutual(
-    const RuleContext& ctx) {
+    const Context& ctx) {
   const auto& set = ctx.graph.set;
   const auto& network = ctx.network;
   // Per ordered instance pair: is any edge in that direction unable to deny
@@ -458,7 +458,7 @@ std::vector<Finding> RedistributionSafety::unfiltered_mutual(
 
 // --- RD064: single-point redistribution --------------------------------------
 
-std::vector<Finding> RedistributionSafety::single_point(const RuleContext& ctx) {
+std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
   std::vector<Finding> out;
   const auto& set = ctx.graph.set;
   const auto& network = ctx.network;

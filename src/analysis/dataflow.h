@@ -161,28 +161,29 @@ class InstanceDataflow {
 
 /// The five statically-checked redistribution-safety rules built on the
 /// dataflow engine (registered as RD060-RD064, category "dataflow"). Each
-/// body is pure and may run concurrently with any other rule; the two
-/// fixpoint-based rules build their own InstanceDataflow because compiled
-/// policies are not shareable across threads.
+/// body is pure and may run concurrently with any other rule; RD060 and
+/// RD062 share the run's one `Context::dataflow()`, immutable once built
+/// (its compiled policies, whose verdict memos are not shareable, die with
+/// the constructor).
 struct RedistributionSafety {
   /// RD060: an instance's routes can transit a filter-permitting
   /// multi-router cycle and re-enter their origin with a winning distance.
-  static std::vector<Finding> redistribution_loop(const RuleContext& ctx);
+  static std::vector<Finding> redistribution_loop(const Context& ctx);
   /// RD061: redistribution into a protocol with a different metric algebra
   /// and no metric mapping (no command metric, no default-metric, no
   /// set-metric clause).
-  static std::vector<Finding> metric_loss(const RuleContext& ctx);
+  static std::vector<Finding> metric_loss(const Context& ctx);
   /// RD062: a redistributed copy's administrative distance beats the native
   /// route on some router hosting both instances, so which route wins
   /// depends on arrival order.
-  static std::vector<Finding> distance_inversion(const RuleContext& ctx);
+  static std::vector<Finding> distance_inversion(const Context& ctx);
   /// RD063: mutual redistribution between two instances where at least one
   /// direction carries no filter that can deny anything.
-  static std::vector<Finding> unfiltered_mutual(const RuleContext& ctx);
+  static std::vector<Finding> unfiltered_mutual(const Context& ctx);
   /// RD064: an IGP instance pair glued by redistribution whose only
   /// route-exchange path is one router (paper §6 robustness smell), both
   /// sides being multi-router conventional-IGP instances.
-  static std::vector<Finding> single_point(const RuleContext& ctx);
+  static std::vector<Finding> single_point(const Context& ctx);
 };
 
 }  // namespace rd::analysis

@@ -139,7 +139,8 @@ class HeaderSpace {
 std::vector<Intent> collect_intents(const model::Network& network);
 
 /// Convenience entry point: build a HeaderSpace and check `intents`
-/// (audit_network's intent section and rule RD052 both go through here).
+/// (`Context::intents()`, which the audit, the pipeline report and rule
+/// RD052 share, goes through here).
 std::vector<IntentOutcome> verify_intents(const model::Network& network,
                                           const graph::InstanceSet& instances,
                                           const ReachabilityAnalysis& routes,

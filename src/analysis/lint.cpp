@@ -35,6 +35,10 @@ std::string_view to_string(LintKind kind) noexcept {
 
 namespace {
 
+/// A filter with at least this many clauses that mixes several protocols
+/// and interleaves permit/deny is flagged as multi-policy.
+constexpr std::size_t kMultiPolicyClauseThreshold = 30;
+
 /// Every ACL / route-map / prefix-list name a config references, mapped to
 /// the first referencing source line (0 when the reference site carries no
 /// line, e.g. synthesized configs).
@@ -198,7 +202,7 @@ std::vector<LintFinding> lint_network(const model::Network& network,
         options.enabled(LintKind::kShadowedAclClause)) {
       for (const auto& acl : cfg.access_lists) {
         if (options.enabled(LintKind::kMultiPolicyFilter) &&
-            acl.rules.size() >= options.multi_policy_clause_threshold &&
+            acl.rules.size() >= kMultiPolicyClauseThreshold &&
             concern_count(acl) >= 3) {
           findings.push_back(
               {LintKind::kMultiPolicyFilter, r, acl.id,

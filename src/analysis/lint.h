@@ -46,9 +46,6 @@ constexpr std::uint32_t lint_kind_bit(LintKind kind) noexcept {
 }
 
 struct LintOptions {
-  /// A filter with at least this many clauses that mixes several protocols
-  /// and interleaves permit/deny is flagged as multi-policy.
-  std::size_t multi_policy_clause_threshold = 30;
   /// Which checks to run (one bit per LintKind, default all). The rule
   /// engine runs each kind as its own rule; the mask keeps a single-kind
   /// run from paying for the other nine checks.

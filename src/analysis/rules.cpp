@@ -10,7 +10,7 @@
 #include "analysis/dataflow.h"
 #include "analysis/header_space.h"
 #include "analysis/ibgp.h"
-#include "analysis/reachability.h"
+#include "analysis/lint.h"
 #include "analysis/vulnerability.h"
 #include "model/header_predicate.h"
 #include "model/policy.h"
@@ -75,8 +75,8 @@ Finding make_finding(model::RouterId router, std::string subject,
 
 // --- lint rules (RD001-RD010): one registered rule per LintKind -------------
 
-std::vector<Finding> run_lint_kind(const RuleContext& ctx, LintKind kind) {
-  LintOptions options = ctx.options.lint;
+std::vector<Finding> run_lint_kind(const Context& ctx, LintKind kind) {
+  LintOptions options;
   options.kind_mask = lint_kind_bit(kind);
   std::vector<Finding> out;
   for (auto& f : lint_network(ctx.network, options)) {
@@ -88,7 +88,7 @@ std::vector<Finding> run_lint_kind(const RuleContext& ctx, LintKind kind) {
 
 // --- consistency rules (RD020-RD023) ----------------------------------------
 
-std::vector<Finding> run_consistency_kind(const RuleContext& ctx,
+std::vector<Finding> run_consistency_kind(const Context& ctx,
                                           ConsistencyKind kind) {
   std::vector<Finding> out;
   for (auto& f :
@@ -101,7 +101,7 @@ std::vector<Finding> run_consistency_kind(const RuleContext& ctx,
 
 // --- vulnerability rules (RD030-RD033) --------------------------------------
 
-std::vector<Finding> rule_unfiltered_ebgp(const RuleContext& ctx) {
+std::vector<Finding> rule_unfiltered_ebgp(const Context& ctx) {
   std::vector<Finding> out;
   for (const auto& c : find_unfiltered_external_connections(ctx.network)) {
     if (c.kind != UnfilteredExternalConnection::Kind::kBgpSession) continue;
@@ -117,7 +117,7 @@ std::vector<Finding> rule_unfiltered_ebgp(const RuleContext& ctx) {
   return out;
 }
 
-std::vector<Finding> rule_redistribution_spof(const RuleContext& ctx) {
+std::vector<Finding> rule_redistribution_spof(const Context& ctx) {
   std::vector<Finding> out;
   for (const auto& pr : redistribution_redundancy(ctx.network, ctx.graph)) {
     if (!pr.single_point_of_failure()) continue;
@@ -132,7 +132,7 @@ std::vector<Finding> rule_redistribution_spof(const RuleContext& ctx) {
   return out;
 }
 
-std::vector<Finding> rule_backdoor_candidate(const RuleContext& ctx) {
+std::vector<Finding> rule_backdoor_candidate(const Context& ctx) {
   std::vector<Finding> out;
   const auto bd = detect_backdoor_candidates(ctx.network, ctx.graph);
   if (bd.groups > 1) {
@@ -153,7 +153,7 @@ std::vector<Finding> rule_backdoor_candidate(const RuleContext& ctx) {
   return out;
 }
 
-std::vector<Finding> rule_shared_static_destination(const RuleContext& ctx) {
+std::vector<Finding> rule_shared_static_destination(const Context& ctx) {
   const auto& network = ctx.network;
   std::vector<Finding> out;
   for (const auto& shared : shared_static_destinations(network)) {
@@ -183,7 +183,7 @@ std::vector<Finding> rule_shared_static_destination(const RuleContext& ctx) {
 
 // --- cross-router design rules (RD040-RD044) --------------------------------
 
-std::vector<Finding> rule_duplicate_router_id(const RuleContext& ctx) {
+std::vector<Finding> rule_duplicate_router_id(const Context& ctx) {
   const auto& network = ctx.network;
   // router-id value -> every (router, stanza) configuring it, in router
   // order. The same value on several stanzas of ONE router is conventional
@@ -224,7 +224,7 @@ struct RedistDirection {
 };
 
 std::map<std::pair<std::uint32_t, std::uint32_t>, RedistDirection>
-redistribution_directions(const RuleContext& ctx) {
+redistribution_directions(const Context& ctx) {
   const auto& instance_of = ctx.graph.set.instance_of;
   std::map<std::pair<std::uint32_t, std::uint32_t>, RedistDirection> directed;
   for (const auto& edge : ctx.network.redistribution_edges()) {
@@ -247,7 +247,7 @@ redistribution_directions(const RuleContext& ctx) {
   return directed;
 }
 
-std::vector<Finding> rule_one_sided_redistribution(const RuleContext& ctx) {
+std::vector<Finding> rule_one_sided_redistribution(const Context& ctx) {
   const auto directed = redistribution_directions(ctx);
   std::vector<Finding> out;
   for (const auto& [pair, dir] : directed) {
@@ -266,7 +266,7 @@ std::vector<Finding> rule_one_sided_redistribution(const RuleContext& ctx) {
 }
 
 std::vector<Finding> rule_asymmetric_redistribution_policy(
-    const RuleContext& ctx) {
+    const Context& ctx) {
   const auto directed = redistribution_directions(ctx);
   std::vector<Finding> out;
   for (const auto& [pair, dir] : directed) {
@@ -296,7 +296,7 @@ std::vector<Finding> rule_asymmetric_redistribution_policy(
   return out;
 }
 
-std::vector<Finding> rule_ibgp_mesh_gap(const RuleContext& ctx) {
+std::vector<Finding> rule_ibgp_mesh_gap(const Context& ctx) {
   const auto& network = ctx.network;
   std::vector<Finding> out;
   for (const auto& s : analyze_ibgp(network, ctx.graph.set)) {
@@ -323,7 +323,7 @@ std::vector<Finding> rule_ibgp_mesh_gap(const RuleContext& ctx) {
   return out;
 }
 
-std::vector<Finding> rule_unfiltered_igp_edge(const RuleContext& ctx) {
+std::vector<Finding> rule_unfiltered_igp_edge(const Context& ctx) {
   const auto& network = ctx.network;
   std::vector<Finding> out;
   for (const auto& ext : network.external_igp_adjacencies()) {
@@ -399,7 +399,7 @@ ip::Prefix acl_rule_source_region(const config::AclRule& rule) {
   return rule.any_source ? ip::Prefix(ip::Ipv4Address(0u), 0) : rule.source;
 }
 
-std::vector<Finding> rule_shadowed_acl_entry(const RuleContext& ctx) {
+std::vector<Finding> rule_shadowed_acl_entry(const Context& ctx) {
   const auto& network = ctx.network;
   std::vector<Finding> out;
   for (model::RouterId r = 0; r < network.routers().size(); ++r) {
@@ -558,7 +558,7 @@ model::HeaderPredicate route_map_clause_region(
   return region;
 }
 
-std::vector<Finding> rule_dead_route_map_clause(const RuleContext& ctx) {
+std::vector<Finding> rule_dead_route_map_clause(const Context& ctx) {
   const auto& network = ctx.network;
   std::vector<Finding> out;
   for (model::RouterId r = 0; r < network.routers().size(); ++r) {
@@ -590,13 +590,9 @@ std::vector<Finding> rule_dead_route_map_clause(const RuleContext& ctx) {
   return out;
 }
 
-std::vector<Finding> rule_intent_violation(const RuleContext& ctx) {
-  const auto intents = collect_intents(ctx.network);
-  if (intents.empty()) return {};  // the common case costs nothing
-  const auto routes = ReachabilityAnalysis::run(ctx.network, ctx.graph.set);
+std::vector<Finding> rule_intent_violation(const Context& ctx) {
   std::vector<Finding> out;
-  for (const auto& outcome :
-       verify_intents(ctx.network, ctx.graph.set, routes, intents)) {
+  for (const auto& outcome : ctx.intents()) {
     if (outcome.holds) continue;
     std::string detail;
     if (outcome.intent.expect_reachable) {
@@ -690,14 +686,13 @@ constexpr ConsistencyRuleSpec kConsistencyRules[] = {
 
 }  // namespace
 
-RuleEngine RuleEngine::with_default_rules(RuleOptions options) {
+RuleEngine RuleEngine::with_default_rules() {
   RuleEngine engine;
-  engine.options_ = options;
   for (const auto& spec : kLintRules) {
     const LintKind kind = spec.kind;
     engine.add({spec.id, spec.name, "lint", spec.severity, spec.description,
                 spec.paper},
-               [kind](const RuleContext& ctx) {
+               [kind](const Context& ctx) {
                  return run_lint_kind(ctx, kind);
                });
   }
@@ -705,7 +700,7 @@ RuleEngine RuleEngine::with_default_rules(RuleOptions options) {
     const ConsistencyKind kind = spec.kind;
     engine.add({spec.id, std::string(to_string(kind)), "consistency",
                 spec.severity, spec.description, spec.paper},
-               [kind](const RuleContext& ctx) {
+               [kind](const Context& ctx) {
                  return run_consistency_kind(ctx, kind);
                });
   }
@@ -819,33 +814,20 @@ const RuleInfo* RuleEngine::find(std::string_view id) const noexcept {
   return nullptr;
 }
 
-RuleEngine::Result RuleEngine::run(const model::Network& network) const {
-  const auto graph = graph::InstanceGraph::build(network);
-  return collect(network, graph, nullptr);
-}
-
-RuleEngine::Result RuleEngine::run(const model::Network& network,
-                                   const graph::InstanceGraph& graph) const {
-  return collect(network, graph, nullptr);
-}
-
 RuleEngine::Result RuleEngine::run(const model::Network& network,
                                    util::ThreadPool& pool) const {
   const auto graph = graph::InstanceGraph::build(network);
-  return collect(network, graph, &pool);
+  return run(network, graph, pool);
 }
 
 RuleEngine::Result RuleEngine::run(const model::Network& network,
                                    const graph::InstanceGraph& graph,
                                    util::ThreadPool& pool) const {
-  return collect(network, graph, &pool);
+  return run(Context(network, graph), pool);
 }
 
-RuleEngine::Result RuleEngine::collect(const model::Network& network,
-                                       const graph::InstanceGraph& graph,
-                                       util::ThreadPool* pool) const {
-  const RuleContext ctx{network, graph, options_};
-
+RuleEngine::Result RuleEngine::run(const Context& ctx,
+                                   util::ThreadPool& pool) const {
   struct PerRule {
     std::vector<Finding> findings;
     double millis = 0.0;
@@ -865,14 +847,10 @@ RuleEngine::Result RuleEngine::collect(const model::Network& network,
             .count();
     span.arg("findings", per_rule[i].findings.size());
   };
-  if (pool != nullptr) {
-    pool->run_indexed(rules_.size(), run_one);
-  } else {
-    for (std::size_t i = 0; i < rules_.size(); ++i) run_one(i);
-  }
+  pool.run_indexed(rules_.size(), run_one);
 
-  // Merge in registration order: the parallel run's output is byte-identical
-  // to the serial run's no matter how rules were scheduled.
+  // Merge in registration order: the output is byte-identical at every pool
+  // size no matter how rules were scheduled.
   Result result;
   result.timings.reserve(rules_.size());
   for (std::size_t i = 0; i < rules_.size(); ++i) {
@@ -883,7 +861,7 @@ RuleEngine::Result RuleEngine::collect(const model::Network& network,
       f.rule_id = info.id;
       f.severity = info.severity;
       if (f.router != model::kInvalidId) {
-        const auto& rc = network.routers()[f.router];
+        const auto& rc = ctx.network.routers()[f.router];
         f.router_name = rc.hostname;
         f.where.file = rc.source_file.empty() ? rc.hostname : rc.source_file;
         if (std::binary_search(rc.lint_suppressions.begin(),
@@ -893,7 +871,7 @@ RuleEngine::Result RuleEngine::collect(const model::Network& network,
         }
       }
       if (f.router_b != model::kInvalidId) {
-        f.router_b_name = network.routers()[f.router_b].hostname;
+        f.router_b_name = ctx.network.routers()[f.router_b].hostname;
       }
       switch (f.severity) {
         case Severity::kError:

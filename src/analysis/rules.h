@@ -7,7 +7,7 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/lint.h"
+#include "analysis/context.h"
 #include "graph/instances.h"
 #include "model/network.h"
 #include "util/thread_pool.h"
@@ -78,23 +78,11 @@ struct RuleInfo {
   std::string paper;        // paper section(s) motivating the rule
 };
 
-/// Everything a rule may look at. The instance graph is built once per run
-/// and shared; `options` carries the lint thresholds.
-struct RuleOptions {
-  LintOptions lint;
-};
-
-struct RuleContext {
-  const model::Network& network;
-  const graph::InstanceGraph& graph;
-  const RuleOptions& options;
-};
-
 class RuleEngine {
  public:
-  /// A rule body: examine the context, emit findings. Must be pure —
-  /// rules run concurrently over shared immutable state.
-  using RuleFn = std::function<std::vector<Finding>(const RuleContext&)>;
+  /// A rule body: examine the network's context, emit findings. Must be
+  /// pure — rules run concurrently over the shared, immutable context.
+  using RuleFn = std::function<std::vector<Finding>(const Context&)>;
 
   struct Rule {
     RuleInfo info;
@@ -125,42 +113,27 @@ class RuleEngine {
     bool has_errors() const noexcept { return errors > 0; }
   };
 
-  RuleEngine() = default;
-
   /// An engine with every built-in rule registered (RD001..RD064).
-  static RuleEngine with_default_rules(RuleOptions options = {});
+  static RuleEngine with_default_rules();
 
   void add(RuleInfo info, RuleFn fn);
 
   const std::vector<Rule>& rules() const noexcept { return rules_; }
-  const RuleOptions& options() const noexcept { return options_; }
 
   /// Metadata for a rule id, or nullptr when unknown.
   const RuleInfo* find(std::string_view id) const noexcept;
 
-  /// Run every rule serially (no pool, no background threads).
-  Result run(const model::Network& network) const;
-
-  /// Serial run with a caller-provided instance graph.
-  Result run(const model::Network& network,
-             const graph::InstanceGraph& graph) const;
-
-  /// Run rules across `pool`, one task per rule; findings are merged in
-  /// registration order so the output is byte-identical to the serial run.
+  /// The one evaluation path: each rule is one task on `pool`, all over
+  /// `context`, so they share its facts. Findings merge in registration
+  /// order: byte-identical at every pool size (one thread: the serial loop).
+  Result run(const Context& context, util::ThreadPool& pool) const;
+  /// Same, over a fresh context (building the instance graph if not given).
   Result run(const model::Network& network, util::ThreadPool& pool) const;
-
-  /// Same, with a caller-provided instance graph (the pipeline already has
-  /// one; rebuilding it per run would double the cost).
   Result run(const model::Network& network, const graph::InstanceGraph& graph,
              util::ThreadPool& pool) const;
 
  private:
-  Result collect(const model::Network& network,
-                 const graph::InstanceGraph& graph,
-                 util::ThreadPool* pool) const;
-
   std::vector<Rule> rules_;
-  RuleOptions options_;
 };
 
 /// Report serializers. Both are deterministic functions of the findings

@@ -256,13 +256,4 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
   });
 }
 
-std::vector<ScenarioImpact> sweep_failure_scenarios(
-    const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<FailureScenario>& scenarios,
-    const ReachabilityAnalysis::Options& reach_options, std::size_t threads) {
-  util::ThreadPool pool(threads);
-  return sweep_failure_scenarios(network, baseline, scenarios, reach_options,
-                                 pool);
-}
-
 }  // namespace rd::analysis

@@ -93,12 +93,4 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
     const std::vector<FailureScenario>& scenarios,
     const ReachabilityAnalysis::Options& reach_options, util::ThreadPool& pool);
 
-/// Convenience overload: `threads` == 0 picks the RD_THREADS /
-/// hardware-concurrency default; 1 is a plain serial loop.
-std::vector<ScenarioImpact> sweep_failure_scenarios(
-    const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<FailureScenario>& scenarios,
-    const ReachabilityAnalysis::Options& reach_options,
-    std::size_t threads = 0);
-
 }  // namespace rd::analysis

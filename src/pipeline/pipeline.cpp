@@ -5,6 +5,7 @@
 
 #include "analysis/archetype.h"
 #include "analysis/census.h"
+#include "analysis/context.h"
 #include "analysis/dataflow.h"
 #include "analysis/header_space.h"
 #include "analysis/reachability.h"
@@ -63,12 +64,6 @@ model::Network build_network_parallel(const std::vector<std::string>& texts,
   }
   obs::Span span("model.build", "pipeline");
   return model::Network::build_parsed(std::move(parses));
-}
-
-model::Network build_network_parallel(const std::vector<std::string>& texts,
-                                      const Options& options) {
-  util::ThreadPool pool(options.threads);
-  return build_network_parallel(texts, pool);
 }
 
 std::string network_signature(const model::Network& network) {
@@ -204,25 +199,27 @@ NetworkReport analyze_network(const std::string& name,
   }();
   const auto classification = analysis::classify_design(network, ig.set);
   const auto census = analysis::interface_census(network);
+  // One context for the report and the rules. Its fixpoint and dataflow
+  // (DESIGN.md §13; cheap, its domain is instances, not routers) are forced
+  // in their own spans first, so the trace charges them to their layers.
+  const analysis::Context ctx(network, ig);
+  const auto& reach = [&]() -> const analysis::ReachabilityAnalysis& {
+    obs::Span span("analyze.reachability", "pipeline");
+    return ctx.routes();
+  }();
+  const auto& flow = [&]() -> const analysis::InstanceDataflow& {
+    obs::Span span("analyze.dataflow", "pipeline");
+    return ctx.dataflow();
+  }();
   // One engine run covers the consistency and lint sections below plus the
   // vulnerability and cross-router rules; the registry is immutable and
-  // shared across the (possibly concurrent) per-network tasks.
+  // shared across the (possibly concurrent) per-network tasks, and each
+  // task runs its rules on a one-thread pool, the serial loop.
   static const auto engine = analysis::RuleEngine::with_default_rules();
   const auto rules_result = [&] {
     obs::Span span("analyze.rules", "pipeline");
-    return engine.run(network, ig);
-  }();
-  const auto reach = [&] {
-    obs::Span span("analyze.reachability", "pipeline");
-    return analysis::ReachabilityAnalysis::run(network, ig.set);
-  }();
-  // Abstract route-provenance fixpoint over the instance graph (DESIGN.md
-  // §13). Cheap relative to reachability — the domain is instances, not
-  // routers — and its summary only appears when the network actually has
-  // cross-instance edges, so single-instance reports keep their old shape.
-  const auto flow = [&] {
-    obs::Span span("analyze.dataflow", "pipeline");
-    return analysis::InstanceDataflow(network, ig);
+    util::ThreadPool serial(1);
+    return engine.run(ctx, serial);
   }();
   obs::counter("fleet.networks").add();
 
@@ -364,15 +361,11 @@ NetworkReport analyze_network(const std::string& name,
   // space. The section (and its metrics keys below) only appears when a
   // config declares "! rd-intent" lines, so intent-free reports are
   // byte-for-byte what they were before this analysis existed.
-  const auto intents = analysis::collect_intents(network);
+  const auto& intents = ctx.intents();  // computed once, by RD052
   std::size_t intents_holding = 0;
   if (!intents.empty()) {
-    const auto outcomes = [&] {
-      obs::Span span("analyze.intents", "pipeline");
-      return analysis::verify_intents(network, ig.set, reach, intents);
-    }();
     auto violations = Json::array();
-    for (const auto& outcome : outcomes) {
+    for (const auto& outcome : intents) {
       if (outcome.holds) {
         ++intents_holding;
         continue;
@@ -384,7 +377,7 @@ NetworkReport analyze_network(const std::string& name,
       violations.push_back(std::move(violation));
     }
     auto intents_json = Json::object();
-    intents_json.set("declared", outcomes.size());
+    intents_json.set("declared", intents.size());
     intents_json.set("holding", intents_holding);
     intents_json.set("violations", std::move(violations));
     root.set("intents", std::move(intents_json));
@@ -469,12 +462,6 @@ std::vector<NetworkReport> analyze_fleet_parallel(
   return util::parallel_map(pool, inputs, [](const FleetInput& input) {
     return analyze_network(input.name, build_network_serial(input.texts));
   });
-}
-
-std::vector<NetworkReport> analyze_fleet_parallel(
-    const std::vector<FleetInput>& inputs, const Options& options) {
-  util::ThreadPool pool(options.threads);
-  return analyze_fleet_parallel(inputs, pool);
 }
 
 }  // namespace rd::pipeline

@@ -9,13 +9,6 @@
 
 namespace rd::pipeline {
 
-/// Knobs for the parallel entry points.
-struct Options {
-  /// Concurrency level; 0 picks `util::ThreadPool::default_thread_count()`
-  /// (the `RD_THREADS` env override, else hardware_concurrency).
-  std::size_t threads = 0;
-};
-
 // --- Per-network pipeline (parse -> model) ----------------------------------
 //
 // The paper's front end (§2) parses each router's configuration file
@@ -33,8 +26,6 @@ model::Network build_network_serial(const std::vector<std::string>& texts);
 /// index order, model built from the ordered configs.
 model::Network build_network_parallel(const std::vector<std::string>& texts,
                                       util::ThreadPool& pool);
-model::Network build_network_parallel(const std::vector<std::string>& texts,
-                                      const Options& options = {});
 
 /// Canonical JSON serialization of everything the model derived: routers,
 /// interfaces, links, routing processes, IGP adjacencies, BGP sessions, and
@@ -89,8 +80,6 @@ std::vector<NetworkReport> analyze_fleet_serial(
 
 /// Parallel fleet analysis: one task per network, reports merged in input
 /// index order — element-for-element identical to the serial path.
-std::vector<NetworkReport> analyze_fleet_parallel(
-    const std::vector<FleetInput>& inputs, const Options& options = {});
 std::vector<NetworkReport> analyze_fleet_parallel(
     const std::vector<FleetInput>& inputs, util::ThreadPool& pool);
 

@@ -61,13 +61,6 @@ SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
   return out;
 }
 
-SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
-                                     ParseCache& cache,
-                                     const Options& options) {
-  util::ThreadPool pool(options.threads);
-  return analyze_snapshot_series(series, cache, pool);
-}
-
 SeriesReport analyze_snapshot_series_serial(
     const std::vector<SnapshotInput>& series) {
   SeriesReport out;

@@ -73,9 +73,6 @@ model::Network build_network_cached(const std::vector<std::string>& texts,
 SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
                                      ParseCache& cache,
                                      util::ThreadPool& pool);
-SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
-                                     ParseCache& cache,
-                                     const Options& options = {});
 
 /// Cold reference path: no cache, serial parse, every snapshot from
 /// scratch. The differential tests compare the incremental path against

@@ -6,6 +6,7 @@
 
 #include "analysis/archetype.h"
 #include "analysis/census.h"
+#include "analysis/context.h"
 #include "analysis/filters.h"
 #include "analysis/header_space.h"
 #include "analysis/ibgp.h"
@@ -85,6 +86,9 @@ QueryResult audit_report(const model::Network& network,
                          util::ThreadPool& pool) {
   QueryResult qr;
   std::string& out = qr.output;
+  // One context for the whole report: the route-load and intent sections
+  // and the design rules read the same fixpoint, verdicts and dataflow.
+  const analysis::Context ctx(network, ig);
 
   // --- Inventory -----------------------------------------------------------
   appendf(out, "=== Inventory ===\n");
@@ -240,7 +244,7 @@ QueryResult audit_report(const model::Network& network,
 
   // --- Route load (paper §2.3 / §6.2) ---------------------------------------
   appendf(out, "\n=== Route load ===\n");
-  const auto reach = analysis::ReachabilityAnalysis::run(network, ig.set);
+  const auto& reach = ctx.routes();
   if (const auto warning = reach.convergence_warning(); !warning.empty()) {
     appendf(out, "%s\n", warning.c_str());
   }
@@ -263,11 +267,8 @@ QueryResult audit_report(const model::Network& network,
 
   // --- Intent assertions (§6.2 reachability questions, machine-checked
   // against the exact symbolic header space) ---------------------------------
-  if (const auto intents = analysis::collect_intents(network);
-      !intents.empty()) {
+  if (const auto& outcomes = ctx.intents(); !outcomes.empty()) {
     appendf(out, "\n=== Intent assertions ===\n");
-    const auto outcomes =
-        analysis::verify_intents(network, ig.set, reach, intents);
     std::size_t held = 0;
     for (const auto& outcome : outcomes) {
       if (outcome.holds) ++held;
@@ -288,8 +289,8 @@ QueryResult audit_report(const model::Network& network,
   // --- Design rules (paper §8: lint, consistency, vulnerability, and the
   // cross-router rules, unified under one registry with provenance) ----------
   appendf(out, "\n=== Design rules ===\n");
-  const auto engine = analysis::RuleEngine::with_default_rules();
-  const auto rules = engine.run(network, ig, pool);
+  static const auto engine = analysis::RuleEngine::with_default_rules();
+  const auto rules = engine.run(ctx, pool);
   appendf(out,
           "findings: %zu (%zu errors, %zu warnings, %zu info), "
           "suppressed: %zu\n",

@@ -40,6 +40,21 @@ int run_tool(const std::string& tool, const std::string& args) {
   return WEXITSTATUS(status);
 }
 
+/// Like run_tool, but captures stdout into `stdout_out` (for the legs that
+/// compare two invocations' reports).
+int run_tool_stdout(const std::string& tool, const std::string& args,
+                    const std::string& stdout_file, std::string* stdout_out) {
+  const std::string command = std::string(RD_EXAMPLES_BIN_DIR) + "/" + tool +
+                              " " + args + " >" + stdout_file + " 2>/dev/null";
+  const int status = std::system(command.c_str());
+  std::ifstream in(stdout_file);
+  std::ostringstream text;
+  text << in.rdbuf();
+  *stdout_out = text.str();
+  if (status == -1 || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
 /// Like run_tool, but captures stderr into `stderr_out` (for the legs that
 /// assert on diagnostic text, not just the exit code).
 int run_tool_stderr(const std::string& tool, const std::string& args,
@@ -70,6 +85,15 @@ class CliExitCodesTest : public ::testing::Test {
   void TearDown() override {
     std::error_code ec;
     fs::remove_all(dir_, ec);
+  }
+
+  /// A small generated config directory (the textbook enterprise).
+  std::string network_dir() {
+    const std::string dir = (dir_ / "enterprise").string();
+    if (!fs::is_directory(dir)) {
+      EXPECT_EQ(run_tool("generate_network", "enterprise " + dir), 0);
+    }
+    return dir;
   }
 
   fs::path dir_;
@@ -119,6 +143,24 @@ TEST_F(CliExitCodesTest, UsageErrorsExitTwo) {
   EXPECT_EQ(run_tool("rdlint", "--format yaml"), 2);
   EXPECT_EQ(run_tool("audit_network", "--trace"), 2);
   EXPECT_EQ(run_tool("rdlint", "--trace"), 2);
+
+  // Arguments a report CLI cannot use are usage errors, not silently
+  // dropped: a second directory, a lone address, a fourth positional, and
+  // an option the tool does not have.
+  const std::string net = network_dir();
+  EXPECT_EQ(run_tool("audit_network", net + " " + net), 2);
+  EXPECT_EQ(run_tool("simulate_convergence", net + " " + net), 2);
+  EXPECT_EQ(run_tool("reachability_query", net + " 10.0.0.1"), 2);
+  EXPECT_EQ(run_tool("reachability_query",
+                     net + " 10.0.0.1 10.0.0.2 10.0.0.3"),
+            2);
+  EXPECT_EQ(run_tool("reachability_query", net + " --bogus"), 2);
+  std::string err;
+  EXPECT_EQ(run_tool_stderr("reachability_query", "--threads 2 " + net,
+                            (dir_ / "reach-stderr").string(), &err),
+            2);
+  EXPECT_NE(err.find("unknown option '--threads'"), std::string::npos)
+      << err;
 }
 
 TEST_F(CliExitCodesTest, GoodInvocationsStillExitZero) {
@@ -127,6 +169,25 @@ TEST_F(CliExitCodesTest, GoodInvocationsStillExitZero) {
   EXPECT_EQ(run_tool("rdlint", "--help"), 0);
   EXPECT_EQ(run_tool("rdd", "--help"), 0);
   EXPECT_EQ(run_tool("rdctl", "--help"), 0);
+  EXPECT_EQ(run_tool("reachability_query", "--help"), 0);
+  EXPECT_EQ(run_tool("reachability_query", "-h"), 0);
+}
+
+TEST_F(CliExitCodesTest, RdlintSeriesKeepsFileProvenance) {
+  // Series mode emits the last snapshot's report; it must carry the same
+  // file names as a single-directory run over that snapshot.
+  const std::string net = network_dir();
+  std::string single;
+  std::string series;
+  const int single_rc =
+      run_tool_stdout("rdlint", "--format sarif " + net,
+                      (dir_ / "single.sarif").string(), &single);
+  const int series_rc =
+      run_tool_stdout("rdlint", "--format sarif " + net + " " + net,
+                      (dir_ / "series.sarif").string(), &series);
+  EXPECT_NE(single.find("\"uri\": \"config1\""), std::string::npos);
+  EXPECT_EQ(series, single);
+  EXPECT_EQ(series_rc, single_rc);
 }
 
 TEST_F(CliExitCodesTest, DaemonAndClientUsageErrorsExitTwo) {

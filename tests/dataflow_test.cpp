@@ -17,6 +17,7 @@ namespace rd::analysis {
 namespace {
 
 using rd::test::network_of;
+using rd::test::run_serial;
 
 std::vector<const Finding*> findings_for(const RuleEngine::Result& result,
                                          std::string_view rule_id) {
@@ -116,7 +117,7 @@ TEST(Dataflow, FactProvenanceSurvivesTransit) {
 
 TEST(Dataflow, Rd060FlagsLoopAtClosingEdge) {
   const auto net = network_of({kLoopHub, kLoopSpoke});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto loops = findings_for(result, "RD060");
   ASSERT_EQ(loops.size(), 1u);
   EXPECT_EQ(loops[0]->severity, Severity::kError);
@@ -140,7 +141,7 @@ TEST(Dataflow, Rd060QuietWhenCycleStaysInsideOneRouter) {
        " redistribute ospf 2\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 1\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD060").empty());
   EXPECT_EQ(findings_for(result, "RD063").size(), 1u);
 }
@@ -164,7 +165,7 @@ TEST(Dataflow, Rd060QuietWhenDistanceDoesNotInvert) {
        "router eigrp 10\n network 10.0.0.0 0.0.0.3\n"
        " redistribute ospf 7 metric 1000\n"
        "router ospf 7\n network 10.0.0.0 0.0.0.3 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD060").empty());
 }
 
@@ -194,7 +195,7 @@ TEST(Dataflow, Rd060QuietWhenTargetStanzaFiltersTheLoopingPrefixes) {
     ASSERT_EQ(flow.loop_events().size(), 1u);
     EXPECT_EQ(flow.loop_events()[0].witness.prefix.to_string(),
               "10.0.0.0/30");
-    EXPECT_EQ(findings_for(engine.run(net), "RD060").size(), 1u);
+    EXPECT_EQ(findings_for(run_serial(engine, net), "RD060").size(), 1u);
   }
   const auto net = network_of(
       {kLoopHub, spoke_with("access-list 5 deny 10.1.0.0 0.0.0.255\n"
@@ -202,7 +203,7 @@ TEST(Dataflow, Rd060QuietWhenTargetStanzaFiltersTheLoopingPrefixes) {
                             "access-list 5 permit any\n")});
   const auto graph = graph::InstanceGraph::build(net);
   EXPECT_TRUE(InstanceDataflow(net, graph).loop_events().empty());
-  EXPECT_TRUE(findings_for(engine.run(net), "RD060").empty());
+  EXPECT_TRUE(findings_for(run_serial(engine, net), "RD060").empty());
 }
 
 // --- internal EBGP sessions --------------------------------------------------
@@ -273,7 +274,7 @@ TEST(Dataflow, Rd061FlagsMetriclessCrossClassBoundary) {
        "router rip\n"                        // 8
        " network 10.1.0.0 0.0.0.255\n"       // 9
        " redistribute ospf 1\n"});           // 10
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto losses = findings_for(result, "RD061");
   ASSERT_EQ(losses.size(), 1u);
   EXPECT_EQ(losses[0]->severity, Severity::kWarning);
@@ -300,7 +301,7 @@ TEST(Dataflow, Rd061QuietWithMetricMapping) {
         "router rip\n network 10.1.0.0 0.0.0.255\n"
         " redistribute ospf 1 route-map SETM\n"}) {
     const auto net = network_of({std::string(base_head) + tail});
-    const auto result = RuleEngine::with_default_rules().run(net);
+    const auto result = run_serial(RuleEngine::with_default_rules(), net);
     EXPECT_TRUE(findings_for(result, "RD061").empty()) << tail;
   }
 }
@@ -314,7 +315,7 @@ TEST(Dataflow, Rd061QuietWithinOneMetricClass) {
        "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 2\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD061").empty());
 }
 
@@ -337,7 +338,7 @@ TEST(Dataflow, Rd062FlagsInversionOnSharedRouter) {
        "interface Ethernet0\n ip address 10.0.0.2 255.255.255.0\n"
        "router rip\n network 10.0.0.0 0.0.0.255\n"
        "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto inversions = findings_for(result, "RD062");
   ASSERT_EQ(inversions.size(), 1u);
   // OSPF-external 110 beats RIP 120 on r2, which hosts both instances and
@@ -366,7 +367,7 @@ TEST(Dataflow, Rd062QuietWithoutASecondSharedRouter) {
        "hostname r2\n"
        "interface Ethernet0\n ip address 10.0.0.2 255.255.255.0\n"
        "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD062").empty());
 }
 
@@ -384,7 +385,7 @@ TEST(Dataflow, Rd063FlagsOpenDirectionOnce) {
        " redistribute ospf 2 route-map GUARD\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 1\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto mutual = findings_for(result, "RD063");
   ASSERT_EQ(mutual.size(), 1u);  // one finding per pair, not per direction
   EXPECT_NE(mutual[0]->subject.find("<->"), std::string::npos);
@@ -404,7 +405,7 @@ TEST(Dataflow, Rd063BlanketPermitMapCountsAsOpen) {
        " redistribute ospf 2 route-map GUARD\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 1 route-map WAVE\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto mutual = findings_for(result, "RD063");
   ASSERT_EQ(mutual.size(), 1u);
   EXPECT_NE(mutual[0]->detail.find("permits every route"), std::string::npos);
@@ -425,7 +426,7 @@ TEST(Dataflow, Rd063QuietWhenBothDirectionsFiltered) {
        " redistribute ospf 2 route-map G1\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 1 route-map G2\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD063").empty());
 }
 
@@ -471,7 +472,7 @@ std::vector<std::string> single_point_fleet(bool add_backup) {
 
 TEST(Dataflow, Rd064FlagsSinglePointOfExchange) {
   const auto net = network_of(single_point_fleet(false));
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto points = findings_for(result, "RD064");
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0]->router_name, "r2");
@@ -482,7 +483,7 @@ TEST(Dataflow, Rd064FlagsSinglePointOfExchange) {
 
 TEST(Dataflow, Rd064QuietWithRedundantExchange) {
   const auto net = network_of(single_point_fleet(true));
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD064").empty());
 }
 
@@ -494,8 +495,8 @@ TEST(Dataflow, Rd060FingerprintIsLineStable) {
   const std::string shifted =
       std::string("! a comment pushing everything down\n") + kLoopSpoke;
   const auto engine = RuleEngine::with_default_rules();
-  const auto run_a = engine.run(network_of({kLoopHub, kLoopSpoke}));
-  const auto run_b = engine.run(network_of({kLoopHub, shifted}));
+  const auto run_a = run_serial(engine, network_of({kLoopHub, kLoopSpoke}));
+  const auto run_b = run_serial(engine, network_of({kLoopHub, shifted}));
   const auto a = findings_for(run_a, "RD060");
   const auto b = findings_for(run_b, "RD060");
   ASSERT_EQ(a.size(), 1u);
@@ -507,7 +508,7 @@ TEST(Dataflow, Rd060FingerprintIsLineStable) {
 TEST(Dataflow, RulesHonorSuppressionComments) {
   const std::string suppressed =
       std::string("! rdlint-disable RD060 RD062 RD063\n") + kLoopSpoke;
-  const auto result = RuleEngine::with_default_rules().run(
+  const auto result = run_serial(RuleEngine::with_default_rules(), 
       network_of({kLoopHub, suppressed}));
   EXPECT_TRUE(findings_for(result, "RD060").empty());
   EXPECT_GE(result.suppressed, 1u);
@@ -534,13 +535,14 @@ TEST(Dataflow, BaselineTracksFixedAndNewFindings) {
       " network 10.0.0.0 0.0.0.3\n"
       "router ospf 1\n network 10.0.0.0 0.0.0.3 area 0\n"
       " redistribute rip\n";
-  const auto run1 = engine.run(network_of({kLoopHub, kLoopSpoke}));
+  const auto run1 = run_serial(engine, network_of({kLoopHub, kLoopSpoke}));
   ASSERT_EQ(findings_for(run1, "RD060").size(), 1u);
   const auto baseline =
       baseline_fingerprints(findings_to_json(engine, run1, "snap1"));
   ASSERT_TRUE(baseline.has_value());
 
-  const auto run2 = engine.run(network_of({metricless_hub, fixed_spoke}));
+  const auto run2 =
+      run_serial(engine, network_of({metricless_hub, fixed_spoke}));
   const auto delta = diff_against_baseline(run2.findings, *baseline);
   EXPECT_TRUE(std::any_of(
       delta.new_findings.begin(), delta.new_findings.end(),
@@ -556,7 +558,7 @@ TEST(Dataflow, BaselineTracksFixedAndNewFindings) {
 TEST(Dataflow, FindingsAreByteIdenticalAcrossThreadCounts) {
   const auto net = network_of({kLoopHub, kLoopSpoke});
   const auto engine = RuleEngine::with_default_rules();
-  const auto serial = engine.run(net);
+  const auto serial = run_serial(engine, net);
   const auto json = findings_to_json(engine, serial, "loop");
   util::ThreadPool pool2(2);
   util::ThreadPool pool8(8);

@@ -105,15 +105,13 @@ TEST(ParseDiagnostics, SerialParallelAndCachedPathsAgree) {
   EXPECT_EQ(serial.total_parse_diagnostics(), 2u);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    pipeline::Options options;
-    options.threads = threads;
+    util::ThreadPool pool(threads);
     EXPECT_EQ(pipeline::network_signature(
-                  pipeline::build_network_parallel(texts, options)),
+                  pipeline::build_network_parallel(texts, pool)),
               reference)
         << "parallel threads " << threads;
 
     pipeline::ParseCache cache;
-    util::ThreadPool pool(threads);
     for (int round = 0; round < 2; ++round) {
       EXPECT_EQ(pipeline::network_signature(
                     pipeline::build_network_cached(texts, {}, cache, pool)),
@@ -132,9 +130,8 @@ TEST(ParseDiagnostics, FleetReportCountsDiagnostics) {
   EXPECT_EQ(reports[0].parse_diagnostics, 1u);
   EXPECT_EQ(reports[1].parse_diagnostics, 0u);
 
-  pipeline::Options options;
-  options.threads = 8;
-  const auto parallel = pipeline::analyze_fleet_parallel(inputs, options);
+  util::ThreadPool pool(8);
+  const auto parallel = pipeline::analyze_fleet_parallel(inputs, pool);
   ASSERT_EQ(parallel.size(), 2u);
   EXPECT_EQ(parallel[0].parse_diagnostics, 1u);
   EXPECT_EQ(parallel[0].json, reports[0].json);

@@ -13,9 +13,12 @@
 #include "model/network.h"
 #include "synth/emit.h"
 #include "synth/fleet.h"
+#include "testutil.h"
 
 namespace rd {
 namespace {
+
+using rd::test::run_serial;
 
 class FleetInvariants : public ::testing::Test {
  protected:
@@ -148,7 +151,7 @@ TEST_F(FleetInvariants, NoErrorSeverityDesignRuleFindings) {
   // example demos rely on to exit 0.
   const auto engine = analysis::RuleEngine::with_default_rules();
   for (const auto& entry : *entries_) {
-    const auto result = engine.run(entry.network);
+    const auto result = run_serial(engine, entry.network);
     EXPECT_EQ(result.errors, 0u) << entry.name;
     if (result.errors != 0) {
       for (const auto& f : result.findings) {

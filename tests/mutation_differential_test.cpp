@@ -21,11 +21,14 @@
 #include "synth/emit.h"
 #include "synth/fleet.h"
 #include "synth/mutate.h"
+#include "testutil.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace rd::analysis {
 namespace {
+
+using rd::test::run_serial;
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
@@ -88,7 +91,7 @@ TEST(MutationDifferential, CleanFleetIsQuietInTheRedistributionBand) {
   for (const auto& net : fleet().networks) {
     auto copy = net.configs;
     const auto network = model::Network::build(std::move(copy));
-    const auto result = engine.run(network);
+    const auto result = run_serial(engine, network);
     EXPECT_TRUE(result.findings.empty())
         << net.name << " (" << net.archetype << "):\n"
         << describe(result.findings);
@@ -122,7 +125,7 @@ TEST(MutationDifferential, EveryPlantedDefectIsFlaggedWithProvenance) {
         ASSERT_GT(expected_line, 0u);
 
         const auto network = model::Network::build(reparsed);
-        const auto result = engine.run(network);
+        const auto result = run_serial(engine, network);
         bool hit = false;
         for (const auto& f : result.findings) {
           if (f.rule_id == plant->rule_id &&
@@ -157,7 +160,7 @@ TEST(MutationDifferential, PlantedNetworkReportsAreByteIdenticalAcrossThreads) {
     if (!plant) continue;
     const auto network = model::Network::build(synth::reparse(copy.configs));
     const auto engine = RuleEngine::with_default_rules();
-    const auto serial = engine.run(network);
+    const auto serial = run_serial(engine, network);
     bool saw_loop = false;
     for (const auto& f : serial.findings) {
       if (f.rule_id == "RD060") saw_loop = true;

@@ -174,9 +174,8 @@ TEST_F(ObsTest, CountersByteIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     disarm_and_reset();
     obs::Registry::instance().set_counting(true);
-    pipeline::Options options;
-    options.threads = threads;
-    const auto reports = pipeline::analyze_fleet_parallel(inputs, options);
+    util::ThreadPool pool(threads);
+    const auto reports = pipeline::analyze_fleet_parallel(inputs, pool);
     ASSERT_EQ(reports.size(), 2u);
     snapshots.push_back(obs::Registry::instance().counters_json());
   }
@@ -197,10 +196,9 @@ TEST_F(ObsTest, MetricsSectionStableAcrossRunsAndEngines) {
   ASSERT_EQ(serial.size(), 1u);
   const auto again = pipeline::analyze_fleet_serial({{"net", texts}});
   EXPECT_EQ(serial[0].json, again[0].json);
-  pipeline::Options options;
-  options.threads = 4;
+  util::ThreadPool pool(4);
   const auto parallel = pipeline::analyze_fleet_parallel({{"net", texts}},
-                                                         options);
+                                                         pool);
   ASSERT_EQ(parallel.size(), 1u);
   EXPECT_EQ(serial[0].json, parallel[0].json);
 

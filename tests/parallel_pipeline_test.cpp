@@ -111,10 +111,9 @@ TEST_P(ParallelPipelineDifferential, MatchesSerialAcrossArchetypes) {
     const auto serial = output_of(
         net.name, pipeline::build_network_serial(texts));
     for (const auto threads : kThreadCounts) {
-      pipeline::Options options;
-      options.threads = threads;
+      util::ThreadPool pool(threads);
       const auto parallel = output_of(
-          net.name, pipeline::build_network_parallel(texts, options));
+          net.name, pipeline::build_network_parallel(texts, pool));
       const auto label = net.archetype + " seed " + std::to_string(seed) +
                          " threads " + std::to_string(threads);
       EXPECT_EQ(parallel.signature, serial.signature) << label;
@@ -134,10 +133,9 @@ TEST(ParallelPipeline, Net15CaseStudyMatchesSerial) {
   const auto serial =
       output_of(net15.name, pipeline::build_network_serial(texts));
   for (const auto threads : kThreadCounts) {
-    pipeline::Options options;
-    options.threads = threads;
+    util::ThreadPool pool(threads);
     const auto parallel = output_of(
-        net15.name, pipeline::build_network_parallel(texts, options));
+        net15.name, pipeline::build_network_parallel(texts, pool));
     EXPECT_EQ(parallel.signature, serial.signature) << threads;
     EXPECT_EQ(parallel.dot, serial.dot) << threads;
     EXPECT_EQ(parallel.report, serial.report) << threads;
@@ -152,9 +150,8 @@ TEST(ParallelPipeline, FleetReportsMergeInIndexOrder) {
   const auto serial = pipeline::analyze_fleet_serial(inputs);
   ASSERT_EQ(serial.size(), inputs.size());
   for (const auto threads : kThreadCounts) {
-    pipeline::Options options;
-    options.threads = threads;
-    const auto parallel = pipeline::analyze_fleet_parallel(inputs, options);
+    util::ThreadPool pool(threads);
+    const auto parallel = pipeline::analyze_fleet_parallel(inputs, pool);
     ASSERT_EQ(parallel.size(), serial.size()) << threads;
     for (std::size_t i = 0; i < serial.size(); ++i) {
       const auto label =

@@ -253,11 +253,13 @@ TEST(ReachabilityDifferential, WhatIfSweepIdenticalAcrossThreadsAndEngines) {
   ASSERT_FALSE(scenarios.empty());
 
   const Options options;
-  const auto serial =
-      sweep_failure_scenarios(network, graph.set, scenarios, options, 1);
+  util::ThreadPool serial_pool(1);
+  const auto serial = sweep_failure_scenarios(network, graph.set, scenarios,
+                                              options, serial_pool);
   for (const std::size_t threads : {2UL, 8UL}) {
+    util::ThreadPool pool(threads);
     const auto parallel = sweep_failure_scenarios(network, graph.set,
-                                                  scenarios, options, threads);
+                                                  scenarios, options, pool);
     expect_same_sweep(serial, parallel,
                       "threads=" + std::to_string(threads));
   }

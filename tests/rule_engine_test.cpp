@@ -20,6 +20,7 @@ namespace rd::analysis {
 namespace {
 
 using rd::test::network_of;
+using rd::test::run_serial;
 
 /// A small synthesized enterprise, reparsed from emitted text so every
 /// router carries real line numbers. Shared by the determinism and report
@@ -163,7 +164,7 @@ TEST(RuleEngine, SerialAndParallelRunsAreByteIdentical) {
   const auto& network = managed_network();
   const auto engine = RuleEngine::with_default_rules();
 
-  const auto serial = engine.run(network);
+  const auto serial = run_serial(engine, network);
   ASSERT_FALSE(serial.findings.empty());
 
   const auto serial_json = findings_to_json(engine, serial, "managed");
@@ -196,7 +197,7 @@ TEST(RuleEngine, FindingsCarryFileAndLine) {
       "r1.cfg");
   auto network = model::Network::build({std::move(parsed.config)});
   const auto engine = RuleEngine::with_default_rules();
-  const auto result = engine.run(network);
+  const auto result = run_serial(engine, network);
 
   const auto unused = findings_for(result, "RD002");
   ASSERT_EQ(unused.size(), 1u);
@@ -217,7 +218,7 @@ TEST(RuleEngine, DuplicateClauseAnchorsAtTheDuplicate) {
       "access-list 10 permit 10.0.0.0 0.0.0.255\n",   // 6
       "r1.cfg");
   auto network = model::Network::build({std::move(parsed.config)});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
 
   const auto dups = findings_for(result, "RD007");
   ASSERT_EQ(dups.size(), 1u);
@@ -232,7 +233,7 @@ TEST(RuleEngine, HostnameStandsInForFileWhenParsedFromMemory) {
   auto parsed = config::parse_config(
       "hostname r9\naccess-list 5 permit 10.0.0.0 0.0.0.255\n", "");
   auto network = model::Network::build({std::move(parsed.config)});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   const auto unused = findings_for(result, "RD002");
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0]->where.file, "r9");
@@ -246,7 +247,7 @@ TEST(RuleEngine, DuplicateRouterIdAcrossRouters) {
        " network 10.0.0.0 0.0.0.255 area 0\n",
        "hostname b\nrouter ospf 1\n router-id 1.1.1.1\n"
        " network 10.0.1.0 0.0.0.255 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto dups = findings_for(result, "RD040");
   ASSERT_EQ(dups.size(), 1u);
   EXPECT_EQ(dups[0]->severity, Severity::kError);
@@ -264,7 +265,7 @@ TEST(RuleEngine, SameRouterIdOnOneRouterIsConventional) {
       {"hostname a\nrouter ospf 1\n router-id 1.1.1.1\n"
        " network 10.0.0.0 0.0.0.255 area 0\n"
        "router bgp 65001\n router-id 1.1.1.1\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD040").empty());
 }
 
@@ -276,7 +277,7 @@ TEST(RuleEngine, OneSidedRedistribution) {
        "router ospf 1\n network 10.0.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 2\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto one_sided = findings_for(result, "RD041");
   ASSERT_EQ(one_sided.size(), 1u);
   EXPECT_EQ(one_sided[0]->severity, Severity::kWarning);
@@ -295,7 +296,7 @@ TEST(RuleEngine, AsymmetricRedistributionPolicy) {
        " redistribute ospf 2 route-map GUARD\n"
        "router ospf 2\n network 10.1.0.0 0.0.0.255 area 0\n"
        " redistribute ospf 1\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto asymmetric = findings_for(result, "RD042");
   ASSERT_EQ(asymmetric.size(), 1u);
   EXPECT_NE(asymmetric[0]->detail.find("GUARD"), std::string::npos);
@@ -319,7 +320,7 @@ TEST(RuleEngine, ShadowedAclEntryUnderPacketSemantics) {
       "access-list 101 permit ip any any\n",        // 7
       "r1.cfg");
   auto network = model::Network::build({std::move(parsed.config)});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   const auto shadowed = findings_for(result, "RD050");
   ASSERT_EQ(shadowed.size(), 1u);
   EXPECT_EQ(shadowed[0]->severity, Severity::kInfo);
@@ -347,8 +348,8 @@ TEST(RuleEngine, ShadowedAclEntryFingerprintIsLineStable) {
       model::Network::build({config::parse_config(base, "r1.cfg").config});
   auto net_b =
       model::Network::build({config::parse_config(shifted, "r1.cfg").config});
-  const auto run_a = engine.run(net_a);
-  const auto run_b = engine.run(net_b);
+  const auto run_a = run_serial(engine, net_a);
+  const auto run_b = run_serial(engine, net_b);
   const auto a = findings_for(run_a, "RD050");
   const auto b = findings_for(run_b, "RD050");
   ASSERT_EQ(a.size(), 1u);
@@ -368,7 +369,7 @@ TEST(RuleEngine, ShadowedAclEntryUnderRouteSemantics) {
        " distribute-list 101 in\n"
        "access-list 101 permit ip 10.0.0.0 0.0.255.255 any\n"
        "access-list 101 deny tcp 10.0.1.0 0.0.0.255 any eq 80\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto shadowed = findings_for(result, "RD050");
   ASSERT_EQ(shadowed.size(), 1u);
   EXPECT_EQ(shadowed[0]->detail,
@@ -384,7 +385,7 @@ TEST(RuleEngine, Rd050DoesNotDoubleReportLintShadows) {
        "access-list 10 permit 10.0.0.0 0.0.255.255\n"
        "access-list 10 deny 10.0.1.0 0.0.0.255\n"
        "access-list 10 permit any\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_EQ(findings_for(result, "RD008").size(), 1u);
   EXPECT_TRUE(findings_for(result, "RD050").empty());
 }
@@ -434,7 +435,7 @@ TEST(RuleEngine, ShadowedAclEntryDeepChainOnSmallStack) {
       engine.rules().begin(), engine.rules().end(),
       [](const RuleEngine::Rule& r) { return r.info.id == "RD050"; });
   ASSERT_NE(rule, engine.rules().end());
-  const RuleContext ctx{network, graph, engine.options()};
+  const Context ctx(network, graph);
 
   std::vector<Finding> findings;
   auto body = [&] { findings = rule->fn(ctx); };
@@ -458,7 +459,7 @@ TEST(RuleEngine, DeadRouteMapClauses) {
        " match ip address 20\n"              // 7
        "route-map FOO permit 30\n"           // 8
        " match ip address 99\n"});           // 9
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto dead = findings_for(result, "RD051");
   ASSERT_EQ(dead.size(), 2u);
   EXPECT_EQ(dead[0]->subject, "FOO");
@@ -484,7 +485,7 @@ TEST(RuleEngine, PrefixListBoundsKeepClauseAlive) {
        " match ip address prefix-list P1\n"
        "route-map FOO permit 20\n"
        " match ip address prefix-list P2\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   EXPECT_TRUE(findings_for(result, "RD051").empty());
 }
 
@@ -506,7 +507,7 @@ TEST(RuleEngine, IntentViolationFinding) {
       "access-list 101 permit ip any any\n",      // 14
       "r1.cfg");
   auto network = model::Network::build({std::move(parsed.config)});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   const auto violations = findings_for(result, "RD052");
   // The 10.3/24 intent holds (the ACL blocks it); the 10.2/24 one fails.
   ASSERT_EQ(violations.size(), 1u);
@@ -536,7 +537,7 @@ TEST(RuleEngine, SymbolicRulesHonorSuppression) {
       "access-list 101 permit ip any any\n";
   auto network =
       model::Network::build({config::parse_config(text, "r1.cfg").config});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   EXPECT_TRUE(findings_for(result, "RD050").empty());
   EXPECT_TRUE(findings_for(result, "RD052").empty());
   EXPECT_GE(result.suppressed, 2u);
@@ -575,13 +576,14 @@ TEST(RuleEngine, SymbolicFindingsClassifyAgainstBaseline) {
       model::Network::build({config::parse_config(snap1, "r1.cfg").config});
   auto net2 =
       model::Network::build({config::parse_config(snap2, "r1.cfg").config});
-  const auto run1 = engine.run(net1);
+  const auto run1 = run_serial(engine, net1);
   ASSERT_EQ(findings_for(run1, "RD050").size(), 1u);
 
   const auto baseline =
       baseline_fingerprints(findings_to_json(engine, run1, "snap1"));
   ASSERT_TRUE(baseline.has_value());
-  const auto delta = diff_against_baseline(engine.run(net2).findings, *baseline);
+  const auto delta =
+      diff_against_baseline(run_serial(engine, net2).findings, *baseline);
 
   const auto is_rule = [](std::string_view id) {
     return [id](const Finding& f) { return f.rule_id == id; };
@@ -602,7 +604,7 @@ TEST(RuleEngine, SuppressionCommentDropsFindings) {
       "! rdlint-disable RD002\n"
       "access-list 10 permit 10.0.0.0 0.0.0.255\n";
   auto network = model::Network::build({config::parse_config(text, "r1.cfg").config});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   EXPECT_TRUE(findings_for(result, "RD002").empty());
   EXPECT_EQ(result.suppressed, 1u);
 }
@@ -613,7 +615,7 @@ TEST(RuleEngine, SuppressionAppliesPerRouter) {
        "access-list 10 permit 10.0.0.0 0.0.0.255\n",
        "hostname b\n"
        "access-list 10 permit 10.0.0.0 0.0.0.255\n"});
-  const auto result = RuleEngine::with_default_rules().run(net);
+  const auto result = run_serial(RuleEngine::with_default_rules(), net);
   const auto unused = findings_for(result, "RD002");
   ASSERT_EQ(unused.size(), 1u);
   EXPECT_EQ(unused[0]->router_name, "b");
@@ -634,7 +636,7 @@ TEST(RuleEngine, SuppressionSurvivesAnonymization) {
 
   auto network =
       model::Network::build({config::parse_config(scrubbed, "anon.cfg").config});
-  const auto result = RuleEngine::with_default_rules().run(network);
+  const auto result = run_serial(RuleEngine::with_default_rules(), network);
   EXPECT_TRUE(findings_for(result, "RD002").empty());
   EXPECT_EQ(result.suppressed, 1u);
 }
@@ -645,7 +647,7 @@ TEST(RuleEngine, SarifGoldenFile) {
   RuleEngine engine;
   engine.add({"RD900", "test-rule", "test", Severity::kWarning, "A test rule.",
               "section 0"},
-             [](const RuleContext&) {
+             [](const Context&) {
                Finding f;
                f.router = 0;
                f.subject = "subj";
@@ -655,7 +657,7 @@ TEST(RuleEngine, SarifGoldenFile) {
              });
   auto network =
       model::Network::build({config::parse_config("hostname r1\n", "r1.cfg").config});
-  const auto result = engine.run(network);
+  const auto result = run_serial(engine, network);
   ASSERT_EQ(result.findings.size(), 1u);
 
   const std::string expected = R"({
@@ -719,7 +721,7 @@ TEST(RuleEngine, SarifGoldenFile) {
 TEST(RuleEngine, SarifStructureIsWellFormed) {
   const auto& network = managed_network();
   const auto engine = RuleEngine::with_default_rules();
-  const auto result = engine.run(network);
+  const auto result = run_serial(engine, network);
   const auto doc = util::Json::parse(findings_to_sarif(engine, result));
   ASSERT_TRUE(doc.has_value());
 
@@ -763,7 +765,7 @@ TEST(RuleEngine, SarifStructureIsWellFormed) {
 TEST(RuleEngine, JsonReportRoundTripsFingerprints) {
   const auto& network = managed_network();
   const auto engine = RuleEngine::with_default_rules();
-  const auto result = engine.run(network);
+  const auto result = run_serial(engine, network);
   const auto json = findings_to_json(engine, result, "managed");
 
   const auto fingerprints = baseline_fingerprints(json);
@@ -818,7 +820,7 @@ TEST(RuleEngine, BaselineAcrossTwoSnapshots) {
       {"hostname r1\n"
        "interface Ethernet0\n ip address 10.0.0.1 255.255.255.0\n"
        "access-list 10 permit 10.0.0.0 0.0.0.255\n"});
-  const auto run1 = engine.run(net1);
+  const auto run1 = run_serial(engine, net1);
   ASSERT_EQ(findings_for(run1, "RD002").size(), 1u);
 
   // Snapshot 2: the ACL is now applied (RD002 fixed), but its definition
@@ -829,7 +831,7 @@ TEST(RuleEngine, BaselineAcrossTwoSnapshots) {
        " ip access-group 10 in\n"
        "access-list 10 permit 10.0.0.0 0.0.0.255\n"
        "access-list 10 permit 10.0.0.0 0.0.0.255\n"});
-  const auto run2 = engine.run(net2);
+  const auto run2 = run_serial(engine, net2);
 
   // The saved JSON report of snapshot 1 is the baseline for snapshot 2.
   const auto baseline =

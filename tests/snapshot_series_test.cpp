@@ -91,9 +91,8 @@ TEST_P(SnapshotSeriesDifferential, WarmPathMatchesColdAtEveryThreadCount) {
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     pipeline::ParseCache cache;
-    pipeline::Options options;
-    options.threads = threads;
-    const auto warm = pipeline::analyze_snapshot_series(series, cache, options);
+    util::ThreadPool pool(threads);
+    const auto warm = pipeline::analyze_snapshot_series(series, cache, pool);
     expect_equal_series(warm, cold, "threads " + std::to_string(threads));
   }
 }
@@ -146,9 +145,8 @@ TEST(SnapshotSeries, CacheAccountingAtOneThread) {
   const std::size_t n = series[0].texts.size();
 
   pipeline::ParseCache cache;
-  pipeline::Options options;
-  options.threads = 1;  // deterministic hit/miss split
-  const auto report = pipeline::analyze_snapshot_series(series, cache, options);
+  util::ThreadPool pool(1);  // deterministic hit/miss split
+  const auto report = pipeline::analyze_snapshot_series(series, cache, pool);
   ASSERT_EQ(report.snapshots.size(), 3u);
 
   // t0: every router is new (synth texts are all distinct).
@@ -188,7 +186,8 @@ TEST(SnapshotSeries, CachePersistsAcrossSeriesCalls) {
 
 TEST(SnapshotSeries, EmptySeriesYieldsEmptyReport) {
   pipeline::ParseCache cache;
-  const auto report = pipeline::analyze_snapshot_series({}, cache);
+  util::ThreadPool pool(1);
+  const auto report = pipeline::analyze_snapshot_series({}, cache, pool);
   EXPECT_TRUE(report.snapshots.empty());
   EXPECT_TRUE(report.diffs.empty());
 }

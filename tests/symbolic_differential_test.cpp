@@ -28,12 +28,15 @@
 #include "model/policy.h"
 #include "synth/emit.h"
 #include "synth/fleet.h"
+#include "testutil.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace rd::analysis {
 namespace {
+
+using rd::test::run_serial;
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   const char* raw = std::getenv(name);
@@ -268,7 +271,7 @@ TEST(SymbolicDifferential, IntentReportsByteIdenticalAcrossThreadCounts) {
   const auto network = model::Network::build(std::move(configs));
   const auto engine = RuleEngine::with_default_rules();
 
-  const auto serial = engine.run(network);
+  const auto serial = run_serial(engine, network);
   const auto serial_json = findings_to_json(engine, serial, "intent-net");
   // RD052 fired: the second intent is violated (10.2/24 is mostly open).
   bool saw_intent_violation = false;

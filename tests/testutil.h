@@ -4,10 +4,12 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/rules.h"
 #include "config/ast.h"
 #include "config/parser.h"
 #include "ip/ipv4.h"
 #include "model/network.h"
+#include "util/thread_pool.h"
 
 namespace rd::test {
 
@@ -26,6 +28,14 @@ inline model::Network network_of(std::vector<std::string> texts) {
         config::parse_config(texts[i], "cfg" + std::to_string(i)).config);
   }
   return model::Network::build(std::move(configs));
+}
+
+/// A design-rule run on a one-thread pool: the engine's one run path,
+/// which at concurrency 1 is the serial loop (DESIGN.md §6).
+inline analysis::RuleEngine::Result run_serial(
+    const analysis::RuleEngine& engine, const model::Network& network) {
+  util::ThreadPool pool(1);
+  return engine.run(network, pool);
 }
 
 inline ip::Prefix pfx(std::string_view text) {
