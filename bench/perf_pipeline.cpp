@@ -1,7 +1,8 @@
 // Performance benchmarks and ablations for the pipeline itself (not a paper
 // figure). Covers the design choices called out in DESIGN.md section 5:
 //   - instance closure via union-find vs explicit BFS flood fill;
-//   - the paper's half-used address join vs exact CIDR aggregation;
+//   - the paper's half-used address join vs exact CIDR aggregation, and the
+//     join and router-RIB selection at the size a cold audit runs them;
 //   - parse/serialize/anonymize throughput and model-build scaling.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "analysis/egress.h"
 #include "analysis/ibgp.h"
 #include "analysis/reachability.h"
+#include "analysis/router_rib.h"
 #include "analysis/whatif.h"
 #include "anonymize/anonymizer.h"
 #include "config/parser.h"
@@ -389,8 +391,8 @@ BENCHMARK(BM_InstanceClosure_Bfs)->Arg(20)->Arg(80)->Complexity();
 
 // --- ablation: address-structure join rule ----------------------------------------
 
-void BM_AddressStructure_HalfUsedJoin(benchmark::State& state) {
-  const auto net = managed_of_size(40);
+void run_half_used_join(benchmark::State& state,
+                        const synth::SynthNetwork& net) {
   const auto network = model::Network::build(synth::reparse(net.configs));
   const auto subnets = network.interface_subnets();
   for (auto _ : state) {
@@ -400,7 +402,26 @@ void BM_AddressStructure_HalfUsedJoin(benchmark::State& state) {
   state.counters["roots"] = static_cast<double>(
       graph::extract_address_structure(subnets).roots.size());
 }
+
+void BM_AddressStructure_HalfUsedJoin(benchmark::State& state) {
+  run_half_used_join(state, managed_of_size(40));
+}
 BENCHMARK(BM_AddressStructure_HalfUsedJoin);
+
+// The audited size: `generate_network managed` at its default seed 1
+// (~260 routers, ~1,400 maximal subnets), the network a cold audit spends
+// the join and the RIBs on.
+synth::SynthNetwork audited_managed() {
+  synth::ManagedEnterpriseParams p;
+  p.seed = 1;
+  return synth::make_managed_enterprise(p);
+}
+
+void BM_AddressStructure_HalfUsedJoin_Audited(benchmark::State& state) {
+  run_half_used_join(state, audited_managed());
+}
+BENCHMARK(BM_AddressStructure_HalfUsedJoin_Audited)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AddressStructure_ExactAggregate(benchmark::State& state) {
   const auto net = managed_of_size(40);
@@ -432,6 +453,26 @@ void BM_ReachabilityNet15(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReachabilityNet15);
+
+// Route selection into every router's RIB (paper §2.3) on the audited
+// network; the fixpoint it reads is computed once, outside the loop.
+void BM_RouterRib(benchmark::State& state) {
+  const auto net = audited_managed();
+  const auto network = model::Network::build(synth::reparse(net.configs));
+  const auto instances = graph::compute_instances(network);
+  const auto reach = analysis::ReachabilityAnalysis::run(network, instances);
+  std::size_t routes = 0;
+  for (auto _ : state) {
+    const auto ribs =
+        analysis::RouterRibAnalysis::run(network, instances, reach);
+    routes = 0;
+    for (const auto size : ribs.rib_sizes()) routes += size;
+    benchmark::DoNotOptimize(routes);
+  }
+  state.counters["routers"] = static_cast<double>(network.router_count());
+  state.counters["selected_routes"] = static_cast<double>(routes);
+}
+BENCHMARK(BM_RouterRib)->Unit(benchmark::kMillisecond);
 
 void BM_IbgpSignalingAnalysis(benchmark::State& state) {
   synth::BackboneParams p;

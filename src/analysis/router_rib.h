@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "analysis/reachability.h"
@@ -42,7 +41,9 @@ struct SelectedRoute {
 
 class RouterRibAnalysis {
  public:
-  /// Compute every router's RIB from the instance-level fixpoint.
+  /// Compute every router's RIB from the instance-level fixpoint. A tie in
+  /// distance goes to the earliest offer: local routes first, then the
+  /// router's processes in `router_processes` order.
   static RouterRibAnalysis run(const model::Network& network,
                                const graph::InstanceSet& instances,
                                const ReachabilityAnalysis& reachability);
@@ -61,8 +62,7 @@ class RouterRibAnalysis {
   /// True when the router's RIB covers the address.
   bool router_can_reach(model::RouterId router, ip::Ipv4Address addr) const;
 
-  /// Routers whose RIB holds a default route or an externally-originated
-  /// prefix.
+  /// Routers whose RIB holds the default route (0.0.0.0/0).
   std::vector<model::RouterId> routers_with_external_routes() const;
 
   /// Distribution of RIB sizes across routers (for load reporting).

@@ -74,10 +74,23 @@ AddressSpaceStructure extract_address_structure(std::vector<Prefix> subnets) {
     containers.push_back({subnet, id});
   }
 
-  // Greedy join loop — the paper's §3.4 rule. Active blocks are disjoint and
-  // sorted, so prefix sums give "addresses used inside a candidate block".
+  // Greedy join loop — the paper's §3.4 rule: join the eligible adjacent
+  // pair whose lowest common ancestor (LCA) is longest, lowest address
+  // first. A join at block B changes only pairs whose LCA strictly contains
+  // B, and distinct eligible LCAs of one length are disjoint, so joining one
+  // leaves the others eligible: a loop that joins one pair per pass takes
+  // every eligible LCA of the longest length, in ascending order, before any
+  // shorter one. Each pass here joins that whole batch in one merge
+  // (DESIGN.md §5), so the length falls from pass to pass.
+  std::vector<std::uint64_t> cum;
+  std::vector<Prefix> joins;
+  std::vector<Active> next;
   while (active.size() > 1) {
-    std::vector<std::uint64_t> cum(active.size() + 1, 0);
+    // Active blocks are disjoint and sorted, so prefix sums give "addresses
+    // used inside a candidate block". A candidate is the LCA of two active
+    // blocks, so no active block strictly contains it, and the blocks
+    // inside it are those whose network address falls within it.
+    cum.assign(active.size() + 1, 0);
     for (std::size_t i = 0; i < active.size(); ++i) {
       cum[i + 1] = cum[i] + active[i].block.size();
     }
@@ -85,48 +98,49 @@ AddressSpaceStructure extract_address_structure(std::vector<Prefix> subnets) {
       const auto lo = std::lower_bound(
           active.begin(), active.end(), block.network(),
           [](const Active& a, Ipv4Address v) { return a.block.network() < v; });
-      auto hi = lo;
-      while (hi != active.end() && block.contains(hi->block)) ++hi;
-      const auto lo_i = static_cast<std::size_t>(lo - active.begin());
-      const auto hi_i = static_cast<std::size_t>(hi - active.begin());
-      return cum[hi_i] - cum[lo_i];
+      const auto hi = std::upper_bound(
+          lo, active.end(), block.last_address(),
+          [](Ipv4Address v, const Active& a) { return v < a.block.network(); });
+      return cum[static_cast<std::size_t>(hi - active.begin())] -
+             cum[static_cast<std::size_t>(lo - active.begin())];
     };
 
+    joins.clear();
     int best_length = -1;
-    Prefix best_block;
     for (std::size_t i = 0; i + 1 < active.size(); ++i) {
       const Prefix lca =
           lowest_common_ancestor(active[i].block, active[i + 1].block);
       const int shorter =
           std::min(active[i].block.length(), active[i + 1].block.length());
       if (shorter - lca.length() > 2) continue;  // > two low-order bits apart
-      if (lca.length() == 0) continue;
+      if (lca.length() == 0 || lca.length() < best_length) continue;
       if (used_inside(lca) * 2 < lca.size()) continue;  // < half used
       if (lca.length() > best_length) {
         best_length = lca.length();
-        best_block = lca;
+        joins.clear();
       }
+      // Pairs sharing one LCA enclose only pairs with longer LCAs, never
+      // another LCA of this length: a repeat is always the last one kept.
+      if (joins.empty() || joins.back() != lca) joins.push_back(lca);
     }
-    if (best_length < 0) break;
+    if (joins.empty()) break;
 
-    const auto parent_id = static_cast<std::uint32_t>(out.nodes.size());
-    out.nodes.push_back({best_block, -1, {}, false});
-    std::vector<Active> next;
-    next.reserve(active.size());
-    bool inserted = false;
-    for (const Active& a : active) {
-      if (best_block.contains(a.block)) {
-        out.nodes[a.node].parent = static_cast<std::int32_t>(parent_id);
-        out.nodes[parent_id].children.push_back(a.node);
-        if (!inserted) {
-          next.push_back({best_block, parent_id});
-          inserted = true;
-        }
-      } else {
-        next.push_back(a);
+    next.clear();
+    std::size_t j = 0;
+    for (const Prefix& block : joins) {
+      while (!block.contains(active[j].block)) next.push_back(active[j++]);
+      const auto parent_id = static_cast<std::uint32_t>(out.nodes.size());
+      out.nodes.push_back({block, -1, {}, false});
+      next.push_back({block, parent_id});
+      for (; j < active.size() && block.contains(active[j].block); ++j) {
+        out.nodes[active[j].node].parent =
+            static_cast<std::int32_t>(parent_id);
+        out.nodes[parent_id].children.push_back(active[j].node);
       }
     }
-    active = std::move(next);
+    next.insert(next.end(), active.begin() + static_cast<std::ptrdiff_t>(j),
+                active.end());
+    active.swap(next);
   }
 
   out.roots.reserve(active.size());

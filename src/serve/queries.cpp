@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "analysis/archetype.h"
@@ -17,6 +18,7 @@
 #include "config/ast.h"
 #include "graph/address_space.h"
 #include "ip/ipv4.h"
+#include "obs/obs.h"
 #include "sim/sweep.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -126,6 +128,12 @@ QueryResult audit_report(const model::Network& network,
   appendf(out, "\n");
 
   // --- Design --------------------------------------------------------------
+  // One span per section from here on, each ending where the next begins,
+  // so a trace shows where the audit's time goes.
+  std::optional<obs::Span> section;
+  section.emplace("audit.address_structure", "audit");
+  const auto structure = graph::extract_address_structure(network);
+  section.emplace("audit.design", "audit");
   appendf(out, "=== Routing design ===\n");
   const auto cls = analysis::classify_design(network, ig.set);
   appendf(out, "classification: %s\n",
@@ -134,7 +142,6 @@ QueryResult audit_report(const model::Network& network,
           ig.set.instances.size(), cls.features.bgp_instance_count,
           cls.features.staging_igp_instances, cls.features.internal_as_count);
 
-  const auto structure = graph::extract_address_structure(network);
   appendf(out, "address-block plan (%zu root blocks):\n",
           structure.roots.size());
   for (const auto& block : structure.root_blocks()) {
@@ -239,10 +246,12 @@ QueryResult audit_report(const model::Network& network,
   }
 
   // --- Survivability (what-if, paper §8.1) ----------------------------------
+  section.emplace("audit.survivability", "audit");
   appendf(out, "\n");
   append_survivability(out, network, ig, pool);
 
   // --- Route load (paper §2.3 / §6.2) ---------------------------------------
+  section.emplace("audit.route_load", "audit");
   appendf(out, "\n=== Route load ===\n");
   const auto& reach = ctx.routes();
   if (const auto warning = reach.convergence_warning(); !warning.empty()) {
@@ -267,6 +276,7 @@ QueryResult audit_report(const model::Network& network,
 
   // --- Intent assertions (§6.2 reachability questions, machine-checked
   // against the exact symbolic header space) ---------------------------------
+  section.emplace("audit.intents", "audit");
   if (const auto& outcomes = ctx.intents(); !outcomes.empty()) {
     appendf(out, "\n=== Intent assertions ===\n");
     std::size_t held = 0;
@@ -288,6 +298,7 @@ QueryResult audit_report(const model::Network& network,
 
   // --- Design rules (paper §8: lint, consistency, vulnerability, and the
   // cross-router rules, unified under one registry with provenance) ----------
+  section.emplace("audit.rules", "audit");
   appendf(out, "\n=== Design rules ===\n");
   static const auto engine = analysis::RuleEngine::with_default_rules();
   const auto rules = engine.run(ctx, pool);

@@ -127,8 +127,12 @@ void ThreadPool::run_indexed(std::size_t n,
       return job->done.load(std::memory_order_acquire) == job->total;
     });
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (job->errors[i]) std::rethrow_exception(job->errors[i]);
+  // A helper's queued task may still hold `job` and drop it after this
+  // returns. Moving the errors out first keeps every reference count on a
+  // caught exception on this thread, where the caller reads it.
+  const std::vector<std::exception_ptr> errors = std::move(job->errors);
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
 }
 

@@ -402,6 +402,38 @@ TEST(ServeService, TracedSpansAreNamedAfterTheirOp) {
                                              "serve.reachability"}));
 }
 
+TEST(ServeQueries, AuditReportTracesEachSectionOnce) {
+  // Every section of the audit runs under one span of category "audit",
+  // in report order, so a trace shows where the audit's time goes.
+  const auto& ref = Reference::instance();
+  util::ThreadPool pool(2);
+  auto& registry = obs::Registry::instance();
+  registry.set_tracing(false);
+  registry.reset();
+  registry.set_tracing(true);
+  const auto report = serve::audit_report(ref.network, ref.graph, pool);
+  registry.set_tracing(false);
+  const auto doc = util::Json::parse(registry.trace_json());
+  registry.reset();
+  EXPECT_NE(report.output.find("=== Design rules ==="), std::string::npos);
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const auto* cat = events->at(i)->get("cat");
+    if (cat == nullptr || cat->if_string() == nullptr ||
+        *cat->if_string() != "audit") {
+      continue;
+    }
+    names.push_back(*events->at(i)->get("name")->if_string());
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "audit.address_structure", "audit.design",
+                       "audit.survivability", "audit.route_load",
+                       "audit.intents", "audit.rules"}));
+}
+
 TEST(ServeService, RepeatAnalysisRequestsHitTheResponseCache) {
   serve::Service::Options options;
   options.threads = 1;
