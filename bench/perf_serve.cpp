@@ -3,7 +3,8 @@
 // while a resident daemon pays it once and amortizes to zero. These
 // benchmarks pin the cold/warm ratio EXPERIMENTS.md reports (the
 // acceptance bar is >= 10x on the audit path) and the store-assisted
-// restart cost in between (decode beats reparse, but is not free).
+// restart cost in between (decode beats reparse, but is not free), plus
+// the cost of a first-time pair query to a resident fleet.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,7 @@
 #include "perf_main.h"
 
 #include "config/writer.h"
+#include "ip/ipv4.h"
 #include "pipeline/disk_store.h"
 #include "pipeline/parse_cache.h"
 #include "pipeline/series.h"
@@ -95,10 +97,8 @@ void BM_StoreAssistedAudit(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreAssistedAudit);
 
-// Warm path: what one rdctl request costs a running daemon — Service
-// dispatch over the resident model. The cold/warm quotient is the
-// headline number.
-void BM_WarmResidentQuery(benchmark::State& state) {
+/// bench_fleet() written out as a config directory, for Service::add_fleet.
+std::filesystem::path write_bench_fleet() {
   const auto& fleet = bench_fleet();
   const auto dir =
       std::filesystem::temp_directory_path() / "rd_perf_serve_fleet";
@@ -110,6 +110,15 @@ void BM_WarmResidentQuery(benchmark::State& state) {
     std::fwrite(fleet.texts[i].data(), 1, fleet.texts[i].size(), f);
     std::fclose(f);
   }
+  return dir;
+}
+
+// Warm path: what one rdctl request costs a running daemon — Service
+// dispatch over the resident model. The cold/warm quotient is the
+// headline number.
+void BM_WarmResidentQuery(benchmark::State& state) {
+  const auto& fleet = bench_fleet();
+  const auto dir = write_bench_fleet();
   serve::Service::Options options;
   options.threads = 1;
   serve::Service service(options);
@@ -126,6 +135,49 @@ void BM_WarmResidentQuery(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_WarmResidentQuery)->Arg(0)->Arg(1);
+
+// A first-time pair query to a warm fleet: every iteration asks a
+// reachability pair no earlier request asked, so the response cache cannot
+// answer and the Service reads the fleet's resident fixpoint, which an
+// untimed first query built.
+void BM_ServeFreshPair(benchmark::State& state) {
+  const auto& fleet = bench_fleet();
+  const auto dir = write_bench_fleet();
+  serve::Service::Options options;
+  options.threads = 1;
+  serve::Service service(options);
+  service.add_fleet("bench", dir.string());
+
+  std::vector<ip::Prefix> lans;
+  for (const auto& itf : service.fleets()[0].network->interfaces()) {
+    if (itf.subnet && itf.subnet->length() <= 24) lans.push_back(*itf.subnet);
+  }
+  // Pair n joins host k of LAN n % L to host k of LAN (n / L) % L, with
+  // k = n / L^2 % 250: distinct for the first 250 L^2 pairs.
+  std::size_t n = 0;
+  const auto next_pair = [&] {
+    const std::size_t l = lans.size();
+    const auto host = [&](std::size_t lan) {
+      const auto k = static_cast<std::uint32_t>(n / (l * l) % 250);
+      return ip::Ipv4Address(lans[lan].network().value() + 1 + k)
+          .to_string();
+    };
+    serve::Request request;
+    request.op = "reachability";
+    request.source = host(n % l);
+    request.destination = host(n / l % l);
+    ++n;
+    return request;
+  };
+  service.handle(next_pair());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(service.handle(next_pair()));
+  }
+  state.counters["routers"] = static_cast<double>(fleet.texts.size());
+  state.counters["lans"] = static_cast<double>(lans.size());
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_ServeFreshPair);
 
 // Protocol overhead in isolation: encode + frame + decode of a typical
 // response, i.e. the wire tax rdctl adds on top of Service::handle.

@@ -15,9 +15,12 @@ struct IntentOutcome;
 
 /// One network's analysis context (DESIGN.md §8): the network, its instance
 /// graph, and the per-network facts that the design rules, audit_network's
-/// report and the pipeline report share. Each fact is built at most once, on
-/// first use (std::call_once), and is immutable afterwards, so every pool
-/// thread may read it. `network` and `graph` must outlive the context.
+/// report, the pipeline report and the rdd daemon's requests share. Each
+/// fact is built at most once, on first use (std::call_once), and is
+/// immutable afterwards, so every pool thread and every concurrent request
+/// may read it; a build that throws is retried by the next caller.
+/// Constructing a context builds nothing. `network` and `graph` must
+/// outlive the context.
 class Context {
  public:
   Context(const model::Network& network, const graph::InstanceGraph& graph);
@@ -26,8 +29,9 @@ class Context {
   const model::Network& network;
   const graph::InstanceGraph& graph;
 
-  /// The baseline route fixpoint. Its `instance_has_route_to` builds a
-  /// per-instance trie on first query and must not be called concurrently.
+  /// The baseline route fixpoint. Its `instance_has_route_to` builds each
+  /// instance's trie once, on first query, under a per-instance once_flag,
+  /// so concurrent readers may probe it too.
   const ReachabilityAnalysis& routes() const;
   /// The verdict of every `! rd-intent` assertion, in `collect_intents`
   /// order. Empty, and no fixpoint run, when no config declares one.

@@ -1,6 +1,8 @@
 #include "analysis/reachability.h"
 
 #include <algorithm>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -54,7 +56,7 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
   // cost rivaled the whole semi-naïve fixpoint at fleet scale, and many
   // callers never query coverage at all.
   analysis.route_tries_.resize(n);
-  analysis.trie_built_.assign(n, 0);
+  analysis.trie_once_ = std::make_unique<std::once_flag[]>(n);
   analysis.has_default_.assign(n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const auto& routes = analysis.routes_[i];
@@ -73,7 +75,7 @@ bool ReachabilityAnalysis::instance_holds(std::uint32_t instance,
 
 bool ReachabilityAnalysis::instance_has_route_to(std::uint32_t instance,
                                                  ip::Ipv4Address addr) const {
-  if (!trie_built_[instance]) {
+  std::call_once(trie_once_[instance], [&] {
     // Routes are sorted shortest-prefix-first, so insert_uncovered stores
     // only a minimal cover — a prefix under an already-indexed cover can
     // never change the boolean covering answer below.
@@ -82,8 +84,7 @@ bool ReachabilityAnalysis::instance_has_route_to(std::uint32_t instance,
         route_tries_[instance].insert_uncovered(route.prefix, 1);
       }
     }
-    trie_built_[instance] = 1;
-  }
+  });
   return route_tries_[instance].longest_match(addr) != nullptr;
 }
 

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -64,7 +66,8 @@ class ReachabilityAnalysis {
   /// Exact membership test (binary search over the sorted routes).
   bool instance_holds(std::uint32_t instance, const model::Route& route) const;
 
-  /// True when the instance holds a route covering `addr`.
+  /// True when the instance holds a route covering `addr`. Safe to call
+  /// from several threads at once, also on an instance not yet queried.
   bool instance_has_route_to(std::uint32_t instance,
                              ip::Ipv4Address addr) const;
 
@@ -108,10 +111,10 @@ class ReachabilityAnalysis {
   /// Per-instance covering index over routes with length > 0; a non-null
   /// longest_match means some real (non-default) route covers the address.
   /// Built lazily on an instance's first instance_has_route_to query (many
-  /// callers never ask), so the first query for a given instance must not
-  /// race another query of the same instance.
+  /// callers never ask), under that instance's once_flag: a resident
+  /// fleet's fixpoint is probed by concurrent requests.
   mutable std::vector<ip::PrefixTrie<char>> route_tries_;
-  mutable std::vector<char> trie_built_;
+  std::unique_ptr<std::once_flag[]> trie_once_;
   std::vector<char> has_default_;  // instance holds a 0.0.0.0/0 route
   std::size_t iterations_ = 0;
   bool converged_ = true;

@@ -86,11 +86,15 @@ void append_finding_line(std::string& out, const analysis::Finding& finding,
 QueryResult audit_report(const model::Network& network,
                          const graph::InstanceGraph& ig,
                          util::ThreadPool& pool) {
+  return audit_report(analysis::Context(network, ig), pool);
+}
+
+QueryResult audit_report(const analysis::Context& ctx,
+                         util::ThreadPool& pool) {
   QueryResult qr;
   std::string& out = qr.output;
-  // One context for the whole report: the route-load and intent sections
-  // and the design rules read the same fixpoint, verdicts and dataflow.
-  const analysis::Context ctx(network, ig);
+  const model::Network& network = ctx.network;
+  const graph::InstanceGraph& ig = ctx.graph;
 
   // --- Inventory -----------------------------------------------------------
   appendf(out, "=== Inventory ===\n");
@@ -374,17 +378,28 @@ std::string render_lint_report(const analysis::RuleEngine& engine,
   return out;
 }
 
+QueryResult lint_report(const analysis::Context& ctx,
+                        const analysis::RuleEngine& engine,
+                        const std::string& name, LintFormat format,
+                        util::ThreadPool& pool) {
+  QueryResult qr;
+  const auto result = engine.run(ctx, pool);
+  qr.output = render_lint_report(engine, result, name, format);
+  qr.exit_code = result.has_errors() ? 1 : 0;
+  return qr;
+}
+
 QueryResult lint_report(const model::Network& network,
                         const analysis::RuleEngine& engine,
                         const std::string& name, LintFormat format,
                         util::ThreadPool& pool,
                         const graph::InstanceGraph* graph) {
-  QueryResult qr;
-  const auto result = graph != nullptr ? engine.run(network, *graph, pool)
-                                       : engine.run(network, pool);
-  qr.output = render_lint_report(engine, result, name, format);
-  qr.exit_code = result.has_errors() ? 1 : 0;
-  return qr;
+  std::optional<graph::InstanceGraph> built;
+  if (graph == nullptr) {
+    graph = &built.emplace(graph::InstanceGraph::build(network));
+  }
+  return lint_report(analysis::Context(network, *graph), engine, name,
+                     format, pool);
 }
 
 std::int64_t instance_attached_to(const model::Network& network,
@@ -401,9 +416,17 @@ std::int64_t instance_attached_to(const model::Network& network,
   return -1;
 }
 
-QueryResult reachability_report(const model::Network& network,
-                                const graph::InstanceSet& instances,
-                                const ReachabilityRequest& request) {
+namespace {
+
+/// The one body of both reachability_report overloads. `routes()` yields
+/// the baseline fixpoint and `intents()` the verdict of every declared
+/// "! rd-intent" (empty when none is declared). Each is called only by the
+/// modes that read it, so a usage error computes nothing.
+template <typename Routes, typename Intents>
+QueryResult reachability_over(const model::Network& network,
+                              const graph::InstanceSet& instances,
+                              const ReachabilityRequest& request,
+                              const Routes& routes, const Intents& intents) {
   QueryResult qr;
   std::string& out = qr.output;
 
@@ -414,10 +437,7 @@ QueryResult reachability_report(const model::Network& network,
     return qr;
   }
 
-  analysis::ReachabilityAnalysis::Options options;
-  options.external_prefixes = request.external_prefixes;
-  const auto reach =
-      analysis::ReachabilityAnalysis::run(network, instances, options);
+  const analysis::ReachabilityAnalysis& reach = routes();
   if (const auto warning = reach.convergence_warning(); !warning.empty()) {
     qr.error += warning;
     qr.error += "\n";
@@ -425,7 +445,6 @@ QueryResult reachability_report(const model::Network& network,
 
   // --- Symbolic header-space mode -------------------------------------------
   if (request.symbolic) {
-    analysis::HeaderSpace space(network, instances, reach);
     if (pair) {
       const auto a = ip::Ipv4Address::parse(request.source);
       const auto b = ip::Ipv4Address::parse(request.destination);
@@ -434,6 +453,9 @@ QueryResult reachability_report(const model::Network& network,
         qr.exit_code = 2;
         return qr;
       }
+      // Built per request: a HeaderSpace memoizes pair predicates and may
+      // not be shared between threads.
+      analysis::HeaderSpace space(network, instances, reach);
       const auto ingress = space.attachment_interface(*a);
       const auto egress = space.attachment_interface(*b);
       if (!ingress || !egress) {
@@ -470,14 +492,13 @@ QueryResult reachability_report(const model::Network& network,
       return qr;
     }
     // No explicit pair: check every "! rd-intent" assertion in the configs.
-    const auto intents = analysis::collect_intents(network);
-    if (intents.empty()) {
+    const std::vector<analysis::IntentOutcome>& outcomes = intents();
+    if (outcomes.empty()) {
       appendf(out,
               "no \"! rd-intent\" assertions declared in these "
               "configs; nothing to verify\n");
       return qr;
     }
-    const auto outcomes = space.verify(intents);
     std::size_t held = 0;
     for (const auto& outcome : outcomes) {
       if (outcome.holds) ++held;
@@ -564,6 +585,46 @@ QueryResult reachability_report(const model::Network& network,
     appendf(out, "  %s\n", route.prefix.to_string().c_str());
   }
   return qr;
+}
+
+}  // namespace
+
+QueryResult reachability_report(const model::Network& network,
+                                const graph::InstanceSet& instances,
+                                const ReachabilityRequest& request) {
+  std::optional<analysis::ReachabilityAnalysis> own;
+  const auto routes = [&]() -> const analysis::ReachabilityAnalysis& {
+    if (!own) {
+      analysis::ReachabilityAnalysis::Options options;
+      options.external_prefixes = request.external_prefixes;
+      own.emplace(
+          analysis::ReachabilityAnalysis::run(network, instances, options));
+    }
+    return *own;
+  };
+  std::vector<analysis::IntentOutcome> verdicts;
+  const auto intents = [&]() -> const std::vector<analysis::IntentOutcome>& {
+    const auto declared = analysis::collect_intents(network);
+    if (!declared.empty()) {
+      verdicts =
+          analysis::verify_intents(network, instances, routes(), declared);
+    }
+    return verdicts;
+  };
+  return reachability_over(network, instances, request, routes, intents);
+}
+
+QueryResult reachability_report(const analysis::Context& ctx,
+                                const ReachabilityRequest& request) {
+  if (!request.external_prefixes.empty()) {
+    return reachability_report(ctx.network, ctx.graph.set, request);
+  }
+  return reachability_over(
+      ctx.network, ctx.graph.set, request,
+      [&]() -> const analysis::ReachabilityAnalysis& { return ctx.routes(); },
+      [&]() -> const std::vector<analysis::IntentOutcome>& {
+        return ctx.intents();
+      });
 }
 
 QueryResult simulate_report(const model::Network& network,

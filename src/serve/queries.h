@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/reachability.h"
 #include "ip/ipv4.h"
 #include "analysis/rules.h"
@@ -34,7 +35,12 @@ struct QueryResult {
 /// classification, vulnerability assessment, maintenance groupings,
 /// completeness, filtering, IBGP, survivability sweep, route load, intent
 /// assertions, and the design-rule summary. Exit 1 when any error-severity
-/// rule finding exists.
+/// rule finding exists. The route-load and intent sections and the design
+/// rules read `ctx`'s fixpoint, verdicts and dataflow, building whichever
+/// is not built yet; the what-if sweep runs its own fixpoints.
+QueryResult audit_report(const analysis::Context& ctx,
+                         util::ThreadPool& pool);
+/// The same report over a context of its own, built for this one call.
 QueryResult audit_report(const model::Network& network,
                          const graph::InstanceGraph& ig,
                          util::ThreadPool& pool);
@@ -62,12 +68,17 @@ std::string render_lint_report(const analysis::RuleEngine& engine,
 void append_finding_line(std::string& out, const analysis::Finding& finding,
                          const char* prefix);
 
-/// rdlint's single-network report in the requested format. `name` labels
-/// the report (the CLI uses the config directory's basename; the daemon
-/// uses the fleet name). Passing the already-built instance graph skips
-/// rebuilding it (the daemon holds one resident); with nullptr the engine
-/// builds its own — the findings are identical either way. Exit 1 when any
-/// error-severity finding exists.
+/// rdlint's single-network report in the requested format, the rules run
+/// over `ctx`. `name` labels the report (the config directory's basename,
+/// in the CLI and the daemon alike). Exit 1 when any error-severity finding
+/// exists.
+QueryResult lint_report(const analysis::Context& ctx,
+                        const analysis::RuleEngine& engine,
+                        const std::string& name, LintFormat format,
+                        util::ThreadPool& pool);
+/// The same report over a context of its own. Passing the already-built
+/// instance graph skips rebuilding it; with nullptr one is built — the
+/// findings are identical either way.
 QueryResult lint_report(const model::Network& network,
                         const analysis::RuleEngine& engine,
                         const std::string& name, LintFormat format,
@@ -96,9 +107,18 @@ struct ReachabilityRequest {
 /// reachability_query's stdout for the requested mode. Unparseable
 /// endpoint addresses yield exit 2 with the CLI's stderr text in `error`
 /// (the daemon maps that to an error response). The convergence warning,
-/// stderr-bound in the CLI, lands in `error` with exit 0.
+/// stderr-bound in the CLI, lands in `error` with exit 0. This overload
+/// runs its own fixpoint and, in the symbolic mode with no pair, its own
+/// intent verification.
 QueryResult reachability_report(const model::Network& network,
                                 const graph::InstanceSet& instances,
+                                const ReachabilityRequest& request);
+/// The same report reading `ctx`'s fixpoint and intent verdicts, so over a
+/// resident fleet a pair query is a lookup. A request that adds
+/// `external_prefixes` changes the fixpoint and goes to the overload above.
+/// A symbolic pair still builds a HeaderSpace of its own: that object
+/// memoizes per pair and is not thread-safe.
+QueryResult reachability_report(const analysis::Context& ctx,
                                 const ReachabilityRequest& request);
 
 /// simulate_convergence's single-network report: the discrete-event

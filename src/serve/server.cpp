@@ -6,6 +6,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -132,6 +133,7 @@ void Server::run() {
       break;
     }
     if (fds[0].revents != 0) break;  // stop requested
+    reap_finished();
     for (nfds_t i = 1; i < n; ++i) {
       if ((fds[i].revents & POLLIN) == 0) continue;
       const int conn = ::accept(fds[i].fd, nullptr, nullptr);
@@ -155,10 +157,30 @@ void Server::run() {
   }
   for (auto& thread : connections_) thread.join();
   connections_.clear();
+  finished_.clear();
   if (poll_errno != 0) {
     throw std::runtime_error(std::string("poll: ") +
                              std::strerror(poll_errno));
   }
+}
+
+void Server::reap_finished() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto id : finished_) {
+      const auto it =
+          std::find_if(connections_.begin(), connections_.end(),
+                       [id](const std::thread& t) { return t.get_id() == id; });
+      std::swap(*it, connections_.back());
+      done.push_back(std::move(connections_.back()));
+      connections_.pop_back();
+    }
+    finished_.clear();
+  }
+  // A listed thread has only its close(2) and return left, so these joins
+  // are short.
+  for (auto& thread : done) thread.join();
 }
 
 void Server::handle_connection(int fd) {
@@ -203,6 +225,7 @@ void Server::handle_connection(int fd) {
         break;
       }
     }
+    finished_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }

@@ -34,8 +34,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Accept loop; blocks until stopped. Joins every connection thread
-  /// before returning, so all in-flight requests finish their replies.
+  /// Accept loop; blocks until stopped. Each time the loop wakes it joins
+  /// the threads of the connections that ended since, so a long-lived
+  /// daemon holds one thread (and its stack) per open connection, not per
+  /// connection ever served. Joins every connection thread before
+  /// returning, so all in-flight requests finish their replies.
   /// EINTR from poll(2) is retried; any other poll failure tears down the
   /// same way and then throws std::runtime_error, so the daemon exits
   /// nonzero instead of pretending a clean shutdown happened.
@@ -51,6 +54,8 @@ class Server {
  private:
   void handle_connection(int fd);
   void close_listeners();
+  /// Join and drop the threads listed in `finished_`.
+  void reap_finished();
 
   Service& service_;
   std::string unix_path_;
@@ -60,7 +65,10 @@ class Server {
   int stop_pipe_[2] = {-1, -1};
 
   std::mutex mutex_;
-  std::vector<std::thread> connections_;
+  std::vector<std::thread> connections_;  // not yet joined
+  /// Threads in `connections_` whose connection has ended: each adds its
+  /// own id as it ends, and the accept loop joins it.
+  std::vector<std::thread::id> finished_;
   std::vector<int> live_fds_;
   bool stopping_ = false;
 };

@@ -50,6 +50,8 @@ Service::LoadStats Service::add_fleet(const std::string& name,
       std::make_unique<const model::Network>(std::move(network));
   fleet.graph = std::make_unique<const graph::InstanceGraph>(
       graph::InstanceGraph::build(*fleet.network));
+  fleet.context =
+      std::make_unique<const analysis::Context>(*fleet.network, *fleet.graph);
 
   LoadStats stats;
   stats.config_files = loaded.texts.size();
@@ -160,7 +162,7 @@ Response Service::handle(const Request& request) {
         response.error = "unknown fleet '" + request.fleet + "'\n";
       }
     } else if (request.op == "audit") {
-      from_query(audit_report(*fleet->network, *fleet->graph, pool_));
+      from_query(audit_report(*fleet->context, pool_));
     } else if (request.op == "whatif") {
       from_query(whatif_report(*fleet->network, *fleet->graph, pool_));
     } else if (request.op == "rdlint") {
@@ -170,8 +172,8 @@ Response Service::handle(const Request& request) {
         response.exit_code = 2;
         response.error = "unknown format '" + request.format + "'\n";
       } else {
-        from_query(lint_report(*fleet->network, engine_, fleet->report_name,
-                               *format, pool_, fleet->graph.get()));
+        from_query(lint_report(*fleet->context, engine_, fleet->report_name,
+                               *format, pool_));
       }
     } else if (request.op == "simulate") {
       from_query(simulate_report(*fleet->network, *fleet->graph,
@@ -181,8 +183,7 @@ Response Service::handle(const Request& request) {
       reach.symbolic = request.op == "headerspace";
       reach.source = request.source;
       reach.destination = request.destination;
-      from_query(reachability_report(*fleet->network, fleet->graph->set,
-                                     reach));
+      from_query(reachability_report(*fleet->context, reach));
     }
     if (fleet != nullptr) {
       std::lock_guard<std::mutex> lock(response_mutex_);

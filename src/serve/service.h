@@ -7,6 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "analysis/context.h"
 #include "analysis/rules.h"
 #include "graph/instances.h"
 #include "model/network.h"
@@ -17,10 +18,13 @@
 
 namespace rd::serve {
 
-/// A fleet held resident by the daemon: the parsed+built network model and
-/// its instance graph, constructed once at load time and shared read-only
-/// by every request thereafter. All analyses the queries run over these
-/// structures are const.
+/// A fleet held resident by the daemon: the parsed+built network model, its
+/// instance graph and its analysis context, constructed once at load time
+/// and shared by every request thereafter. The context's facts (the route
+/// fixpoint, the intent verdicts, the dataflow) are built by the first
+/// request that reads each, never at load time, and are immutable once
+/// built. `reachability`, `headerspace`, `audit` and `rdlint` read them;
+/// `whatif` and `simulate` run fixpoints of their own.
 struct ResidentFleet {
   std::string name;
   std::string directory;
@@ -31,6 +35,8 @@ struct ResidentFleet {
   std::size_t config_files = 0;
   std::unique_ptr<const model::Network> network;
   std::unique_ptr<const graph::InstanceGraph> graph;
+  /// Declared after what it refers to, so it is destroyed first.
+  std::unique_ptr<const analysis::Context> context;
 };
 
 /// The rdd request processor, transport-free: `handle` maps one Request to
@@ -38,7 +44,9 @@ struct ResidentFleet {
 /// the Server layer stays a thin socket loop. Determinism contract: for
 /// every analysis op, `Response::output` is byte-identical to the matching
 /// one-shot CLI's stdout, at every pool size and request interleaving —
-/// the queries touch only immutable resident state and the fork/join pool.
+/// the queries read only resident state that is immutable once built
+/// (each context fact is built once, by whichever request asks first) and
+/// use the fork/join pool.
 /// Only `stats` reports scheduling-dependent numbers (latencies, queue
 /// depth) and is excluded from that contract.
 class Service {

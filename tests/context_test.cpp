@@ -1,14 +1,21 @@
 // analysis::Context computes each per-network fact once and shares it. With
 // counting on, the fixpoint (`reachability.runs`) and dataflow
 // (`dataflow.runs`) counters are read after one audit report, one
-// rule-engine run and one pipeline report, at pool sizes 1, 2 and 8. The
-// facts are built lazily on whichever pool thread asks first, so the suite
-// also runs under the CI TSan job.
+// rule-engine run and one pipeline report, at pool sizes 1, 2 and 8, and
+// after a resident rdd fleet has answered one request of each analysis op
+// that reads the context. The facts are built lazily on whichever pool
+// thread asks first, so the suite also runs under the CI TSan job.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <latch>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/context.h"
@@ -22,6 +29,7 @@
 #include "obs/obs.h"
 #include "pipeline/pipeline.h"
 #include "serve/queries.h"
+#include "serve/service.h"
 #include "synth/archetypes.h"
 #include "synth/emit.h"
 #include "util/thread_pool.h"
@@ -169,6 +177,120 @@ TEST_F(AnalysisContext, ConcurrentReadersShareOneFactEach) {
   }
   EXPECT_EQ(count("reachability.runs"), 1u);
   EXPECT_EQ(count("dataflow.runs"), 1u);
+}
+
+TEST_F(AnalysisContext, ConcurrentProbesShareEachCoveringTrie) {
+  // The first probes of a shared fixpoint build each instance's covering
+  // trie; threads that probe every instance at once must each get the
+  // serial answers. Nothing else orders the threads, so under TSan an
+  // unguarded trie build is reported on every run.
+  const auto network = model::Network::build(synth::reparse(
+      enterprise_configs(0)));
+  const auto graph = graph::InstanceGraph::build(network);
+  const Context ctx(network, graph);
+  std::vector<ip::Ipv4Address> hosts;
+  for (const auto& itf : network.interfaces()) {
+    if (itf.address) hosts.push_back(*itf.address);
+  }
+  const auto& routes = ctx.routes();
+  const std::size_t instances = graph.set.instances.size();
+  const auto probe_all = [&] {
+    std::vector<char> answers;
+    for (std::uint32_t i = 0; i < instances; ++i) {
+      for (const auto host : hosts) {
+        answers.push_back(routes.instance_has_route_to(i, host) ? 1 : 0);
+      }
+    }
+    return answers;
+  };
+
+  constexpr std::size_t kThreads = 8;
+  std::latch start(kThreads);
+  std::vector<std::vector<char>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[t] = probe_all();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const auto serial = probe_all();
+  EXPECT_NE(std::count(serial.begin(), serial.end(), 1), 0);
+  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], serial) << t;
+}
+
+TEST_F(AnalysisContext, ResidentFleetSharesEachFactAcrossOps) {
+  // rdd holds one context per fleet: the audit, rdlint, the intent
+  // verification and fresh pair queries all read its one fixpoint and its
+  // one dataflow. Only the what-if sweep runs fixpoints of its own.
+  const auto configs = enterprise_configs(4);
+  const auto dir = std::filesystem::path(testing::TempDir()) /
+                   ("rd_context_fleet_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  synth::emit_network(configs, dir);
+  std::vector<std::string> lan_hosts;
+  for (const auto& cfg : configs) {
+    for (const auto& itf : cfg.interfaces) {
+      if (itf.address && itf.address->mask.length() == 24) {
+        lan_hosts.push_back(itf.address->address.to_string());
+      }
+    }
+  }
+  ASSERT_GE(lan_hosts.size(), 4u);
+
+  std::vector<serve::Request> requests(6);
+  requests[0].op = "audit";
+  requests[1].op = "rdlint";
+  requests[1].format = "json";
+  requests[2].op = "headerspace";
+  for (std::size_t i = 0; i < 3; ++i) {
+    auto& pair = requests[3 + i];
+    pair.op = i == 1 ? "headerspace" : "reachability";
+    pair.source = lan_hosts[i];
+    pair.destination = lan_hosts[i + 1];
+  }
+  // What the one-shot CLIs print, each over a context of its own.
+  const auto network = model::Network::build(synth::load_network(dir));
+  const auto graph = graph::InstanceGraph::build(network);
+  util::ThreadPool pool(2);
+  std::vector<std::string> expected;
+  for (const auto& request : requests) {
+    if (request.op == "audit") {
+      expected.push_back(serve::audit_report(network, graph, pool).output);
+    } else if (request.op == "rdlint") {
+      expected.push_back(serve::lint_report(network,
+                                            RuleEngine::with_default_rules(),
+                                            dir.filename().string(),
+                                            serve::LintFormat::kJson, pool)
+                             .output);
+    } else {
+      serve::ReachabilityRequest reach;
+      reach.symbolic = request.op == "headerspace";
+      reach.source = request.source;
+      reach.destination = request.destination;
+      expected.push_back(
+          serve::reachability_report(network, graph.set, reach).output);
+    }
+  }
+  ASSERT_NE(expected[2].find("intent assertions: 4"), std::string::npos);
+
+  serve::Service::Options options;
+  options.threads = 2;
+  serve::Service service(options);
+  service.add_fleet("enterprise", dir.string());
+  reset();
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const auto response = service.handle(requests[i]);
+    EXPECT_TRUE(response.ok) << requests[i].op << ": " << response.error;
+    EXPECT_EQ(response.output, expected[i]) << requests[i].op;
+  }
+  EXPECT_EQ(service.response_cache_hits(), 0u);
+  const auto scenarios = count("sweep.scenarios");
+  EXPECT_GT(scenarios, 0u);
+  EXPECT_EQ(count("reachability.runs"), 1 + scenarios);
+  EXPECT_EQ(count("dataflow.runs"), 1u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // over a directly-built network, at pool sizes 1/2/8, across repeats, and
 // under concurrent multi-client hammering (in-process and through a real
 // Unix-socket Server). A client that hangs up without reading its reply
-// (EPIPE) must not take the daemon down.
+// (EPIPE) must not take the daemon down. Fresh pair queries from concurrent
+// clients share the fleet's one fixpoint, and a running Server joins the
+// threads of finished connections.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -14,6 +16,8 @@
 #include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -569,6 +573,94 @@ TEST(ServeService, ConcurrentClientsGetIdenticalBytes) {
   }
 }
 
+/// Distinct endpoint pairs between interface addresses of the test fleet
+/// that a routing instance covers (a pair query probes the fixpoint only
+/// for those), sources cycling over a few addresses so that many pairs
+/// probe one instance.
+std::vector<std::pair<std::string, std::string>> fleet_pairs(
+    std::size_t count) {
+  const auto& ref = Reference::instance();
+  std::vector<std::string> addresses;
+  for (const auto& itf : ref.network.interfaces()) {
+    if (itf.address && serve::instance_attached_to(ref.network, ref.graph.set,
+                                                   *itf.address) >= 0) {
+      addresses.push_back(itf.address->to_string());
+    }
+  }
+  std::vector<std::pair<std::string, std::string>> pairs;
+  // Destinations stride across the list, so they sit on other routers.
+  const std::size_t stride = addresses.size() / count + 1;
+  for (std::size_t d = 1; d < addresses.size() && pairs.size() < count;
+       ++d) {
+    for (std::size_t s = 0; s < 4 && pairs.size() < count; ++s) {
+      pairs.emplace_back(addresses[s],
+                         addresses[(s + d * stride) % addresses.size()]);
+    }
+  }
+  return pairs;
+}
+
+TEST(ServeService, ConcurrentFreshPairsShareOneFixpoint) {
+  // Every request is a first-time pair query, so the response cache answers
+  // none; all of them read the fleet's one fixpoint, and the first probes
+  // of an instance's covering trie can come from several requests at once.
+  std::vector<serve::Request> requests;
+  for (const auto& [source, destination] : fleet_pairs(24)) {
+    for (const char* op : {"reachability", "headerspace"}) {
+      serve::Request request;
+      request.op = op;
+      request.source = source;
+      request.destination = destination;
+      requests.push_back(request);
+    }
+  }
+  ASSERT_EQ(requests.size(), 48u);
+  util::ThreadPool reference_pool(1);
+  std::vector<std::string> expected;
+  for (const auto& request : requests) {
+    expected.push_back(reference_result(request, reference_pool).output);
+  }
+
+  serve::Service::Options options;
+  options.threads = 4;
+  serve::Service service(options);
+  service.add_fleet("corp", fleet_dir().string());
+  auto& registry = obs::Registry::instance();
+  registry.set_counting(false);
+  registry.reset();
+  registry.set_counting(true);
+
+  constexpr std::size_t kClients = 8;
+  // All clients start together, so their first requests wait on the one
+  // fixpoint build and then probe the same instance at once.
+  std::latch start(kClients);
+  std::vector<std::thread> clients;
+  std::vector<std::vector<std::string>> got(kClients);
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      start.arrive_and_wait();
+      for (std::size_t i = c; i < requests.size(); i += kClients) {
+        got[c].push_back(service.handle(requests[i]).output);
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  const auto runs = obs::counter("reachability.runs").value();
+  registry.set_counting(false);
+  registry.reset();
+
+  for (std::size_t c = 0; c < kClients; ++c) {
+    for (std::size_t k = 0; k < got[c].size(); ++k) {
+      const auto i = c + k * kClients;
+      EXPECT_EQ(got[c][k], expected[i])
+          << requests[i].op << " " << requests[i].source << " -> "
+          << requests[i].destination;
+    }
+  }
+  EXPECT_EQ(service.response_cache_hits(), 0u);
+  EXPECT_EQ(runs, 1u);
+}
+
 // --- Server end-to-end -------------------------------------------------------
 
 TEST(ServeServer, UnixSocketEndToEndWithConcurrentClients) {
@@ -645,6 +737,66 @@ TEST(ServeServer, UnixSocketEndToEndWithConcurrentClients) {
     ::close(fd);
   }
   server_thread.join();
+}
+
+/// A field of /proc/self/status ("VmSize", "Threads"), in its own unit.
+long proc_status(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.compare(0, field.size() + 1, field + ":") == 0) {
+      return std::stol(line.substr(field.size() + 1));
+    }
+  }
+  return -1;
+}
+
+TEST(ServeServer, FinishedConnectionsAreReaped) {
+  // Every connection gets a thread; a finished one must be joined while the
+  // daemon runs, not kept (with its stack mapping) until shutdown.
+  const auto socket_path =
+      (std::filesystem::path(testing::TempDir()) / "rd_serve_reap.sock")
+          .string();
+  serve::Service::Options service_options;
+  service_options.threads = 1;
+  serve::Service service(service_options);
+  serve::Server::Options server_options;
+  server_options.unix_path = socket_path;
+  serve::Server server(service, server_options);
+  std::thread server_thread([&] { server.run(); });
+
+  const auto ping_sequentially = [&](int connections) {
+    for (int i = 0; i < connections; ++i) {
+      const int fd = serve::connect_unix(socket_path);
+      ASSERT_GE(fd, 0) << "connection " << i;
+      const auto pong = serve::roundtrip(fd, op_request("ping"));
+      ::close(fd);
+      ASSERT_TRUE(pong.has_value()) << "connection " << i;
+    }
+  };
+  const long threads_before = proc_status("Threads");
+  // A warm-up lets the allocator's per-thread arenas and glibc's cache of
+  // freed stacks reach their steady size before VmSize is read.
+  ping_sequentially(100);
+  const long vm_before_kb = proc_status("VmSize");
+  ping_sequentially(1000);
+  // The last connection's thread ends on its own schedule.
+  long threads_after = proc_status("Threads");
+  for (int wait = 0; wait < 500 && threads_after != threads_before; ++wait) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    threads_after = proc_status("Threads");
+  }
+  const long vm_growth_mb = (proc_status("VmSize") - vm_before_kb) / 1024;
+  RecordProperty("vm_growth_mb", static_cast<int>(vm_growth_mb));
+  server.request_stop();
+  server_thread.join();
+
+  ASSERT_GT(threads_before, 0);
+  ASSERT_GT(vm_before_kb, 0);
+  EXPECT_EQ(threads_after, threads_before);
+  // One unjoined thread costs its whole stack mapping (8 MB by default);
+  // a thousand of them would be gigabytes.
+  EXPECT_LT(vm_growth_mb, 256) << vm_growth_mb << " MB";
 }
 
 void eintr_noop_handler(int) {}
