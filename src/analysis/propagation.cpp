@@ -457,9 +457,15 @@ CompiledStanzaDir compile_stanza_dir(model::PolicyCompiler& compiler,
   return out;
 }
 
-FixpointResult run_semi_naive(const Problem& problem,
-                              std::optional<std::uint64_t> shuffle_seed) {
-  FixpointResult result;
+std::size_t held_count(const std::vector<std::uint64_t>& bits) noexcept {
+  std::size_t count = 0;
+  for (const std::uint64_t w : bits) count += std::popcount(w);
+  return count;
+}
+
+Propagation propagate(const Problem& problem,
+                      std::optional<std::uint64_t> shuffle_seed) {
+  Propagation result;
   const std::size_t n = problem.instance_count;
 
   // --- Compile every edge's policy chain. The compiler dedups by AST node,
@@ -553,13 +559,15 @@ FixpointResult run_semi_naive(const Problem& problem,
   // stable position, so per-instance membership collapses to a bitmap and
   // set propagation to word operations; no per-route hash probe survives on
   // a hot path, and no per-instance route log exists at all — the bitmaps
-  // ARE the state, materialized once at the end.
-  std::vector<Route> domain = problem.universe;  // offers first, ascending
+  // ARE the state, materialized (if at all) by `materialize`.
+  std::vector<Route>& domain = result.domain;
+  domain = problem.universe;  // offers first, ascending
   DomainIndex domain_index(domain.size() + problem.seeds.size());
   for (std::size_t u = 0; u < domain.size(); ++u) {
     domain_index.insert(route_key(domain[u]), static_cast<std::uint32_t>(u));
   }
   const std::size_t offer_count = domain.size();
+  result.offer_count = offer_count;
   auto intern = [&](const Route& route) {
     const std::uint32_t next = static_cast<std::uint32_t>(domain.size());
     const std::uint32_t pos = domain_index.insert(route_key(route), next);
@@ -573,7 +581,8 @@ FixpointResult run_semi_naive(const Problem& problem,
   // Per-instance membership bitmaps over domain positions, lazily sized
   // (and re-grown as the domain grows) to the word the highest set bit
   // needs; words past an instance's current size read as zero.
-  std::vector<std::vector<std::uint64_t>> member(n);
+  auto& member = result.member;
+  member.resize(n);
   std::vector<char> dirty(n, 0);
   auto add_pos = [&](std::uint32_t instance, std::uint32_t pos) {
     auto& bits = member[instance];
@@ -703,9 +712,7 @@ FixpointResult run_semi_naive(const Problem& problem,
   std::vector<std::uint32_t> current;
   auto held_total = [&] {
     std::size_t total = 0;
-    for (const auto& bits : member) {
-      for (const std::uint64_t w : bits) total += std::popcount(w);
-    }
+    for (const auto& bits : member) total += held_count(bits);
     return total;
   };
   while (true) {
@@ -863,7 +870,7 @@ FixpointResult run_semi_naive(const Problem& problem,
   // chain, which may permit it).
   seen_session.clear();
   seen_stanza.clear();
-  std::vector<std::uint64_t> announced;
+  auto& announced = result.announced;
   auto announce_instance = [&](std::uint32_t instance, const auto& chain) {
     const auto& source = member[instance];
     if (source.empty()) return;
@@ -891,57 +898,67 @@ FixpointResult run_semi_naive(const Problem& problem,
     if (stanza_seen(endpoint.instance, endpoint.outbound)) continue;
     announce_instance(endpoint.instance, endpoint.outbound);
   }
+  return result;
+}
 
-  // --- Materialization. A sorted permutation of the domain is computed
-  // once (the offer prefix is pre-sorted; only the interned tail needs
-  // ordering), then every result vector is emitted directly in route
-  // order: dense holdings scan the permutation and test bits, sparse ones
-  // collect their positions' ranks and sort those. Nothing ever sorts
-  // full Route records again.
+FixpointResult materialize(const Propagation& propagation) {
+  // A sorted permutation of the domain is computed once (the offer prefix
+  // is pre-sorted; only the interned tail needs ordering), then every
+  // result vector is emitted directly in route order: dense holdings scan
+  // the permutation and test bits, sparse ones collect their positions'
+  // ranks and sort those. Nothing ever sorts full Route records again.
+  const auto& domain = propagation.domain;
+  const auto offer_end =
+      static_cast<std::ptrdiff_t>(propagation.offer_count);
   const auto pos_less = [&](std::uint32_t a, std::uint32_t b) noexcept {
     return route_key(domain[a]) < route_key(domain[b]);
   };
   std::vector<std::uint32_t> order(domain.size());
   for (std::uint32_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin() + static_cast<std::ptrdiff_t>(offer_count),
-            order.end(), pos_less);
-  std::inplace_merge(order.begin(),
-                     order.begin() + static_cast<std::ptrdiff_t>(offer_count),
-                     order.end(), pos_less);
+  std::sort(order.begin() + offer_end, order.end(), pos_less);
+  std::inplace_merge(order.begin(), order.begin() + offer_end, order.end(),
+                     pos_less);
   std::vector<std::uint32_t> rank(domain.size());
   for (std::uint32_t k = 0; k < order.size(); ++k) rank[order[k]] = k;
-  std::vector<std::uint32_t> held;  // sparse-path scratch
+  std::vector<std::uint32_t> ranks;  // sparse-path scratch
   auto emit = [&](const std::vector<std::uint64_t>& bits,
                   std::vector<Route>& out) {
-    std::size_t count = 0;
-    for (const std::uint64_t w : bits) count += std::popcount(w);
+    const std::size_t count = held_count(bits);
     if (count == 0) return;
     out.reserve(count);
     if (count * 8 >= order.size()) {  // dense: walk the domain in order
       for (const std::uint32_t pos : order) {
-        if ((pos >> 6) < bits.size() && (bits[pos >> 6] >> (pos & 63)) & 1) {
-          out.push_back(domain[pos]);
-        }
+        if (holds(bits, pos)) out.push_back(domain[pos]);
       }
       return;
     }
-    held.clear();
-    held.reserve(count);
+    ranks.clear();
+    ranks.reserve(count);
     for (std::size_t w = 0; w < bits.size(); ++w) {
       std::uint64_t word = bits[w];
       while (word != 0) {
         const int b = std::countr_zero(word);
         word &= word - 1;
-        held.push_back(rank[w * 64 + b]);
+        ranks.push_back(rank[w * 64 + b]);
       }
     }
-    std::sort(held.begin(), held.end());
-    for (const std::uint32_t k : held) out.push_back(domain[order[k]]);
+    std::sort(ranks.begin(), ranks.end());
+    for (const std::uint32_t k : ranks) out.push_back(domain[order[k]]);
   };
-  result.routes.resize(n);
-  for (std::size_t i = 0; i < n; ++i) emit(member[i], result.routes[i]);
-  emit(announced, result.announced);
+  FixpointResult result;
+  result.iterations = propagation.iterations;
+  result.converged = propagation.converged;
+  result.routes.resize(propagation.member.size());
+  for (std::size_t i = 0; i < propagation.member.size(); ++i) {
+    emit(propagation.member[i], result.routes[i]);
+  }
+  emit(propagation.announced, result.announced);
   return result;
+}
+
+FixpointResult run_semi_naive(const Problem& problem,
+                              std::optional<std::uint64_t> shuffle_seed) {
+  return materialize(propagate(problem, shuffle_seed));
 }
 
 }  // namespace rd::analysis::prop

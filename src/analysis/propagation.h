@@ -154,12 +154,43 @@ struct FixpointResult {
 /// directly.
 FixpointResult run_naive(const Problem& problem);
 
+/// The semi-naïve fixpoint before materialization: the interned route
+/// domain and membership bitmaps over its positions. Bit `p` of a bitmap
+/// is set when the set holds `domain[p]`; bitmaps are sized lazily, so
+/// words past a bitmap's end read as zero. A consumer that needs only
+/// counts reads them here (`held_count`) instead of sorting out every route.
+struct Propagation {
+  std::vector<model::Route> domain;  // the offers first, ascending
+  std::size_t offer_count = 0;       // the offers' share of `domain`
+  std::vector<std::vector<std::uint64_t>> member;  // per instance
+  std::vector<std::uint64_t> announced;
+  std::size_t iterations = 0;
+  bool converged = true;
+};
+
+/// The number of routes a membership bitmap holds.
+std::size_t held_count(const std::vector<std::uint64_t>& bits) noexcept;
+
+/// Whether a membership bitmap holds domain position `pos`.
+inline bool holds(const std::vector<std::uint64_t>& bits,
+                  std::uint32_t pos) noexcept {
+  return (pos >> 6) < bits.size() && ((bits[pos >> 6] >> (pos & 63)) & 1);
+}
+
 /// The delta-driven evaluator: bitmap membership over the interned route
-/// domain, per-edge offered cursors, and a dirty-instance worklist. Each
-/// edge evaluates each source route exactly once over the run, through
-/// policies compiled once up front. A `shuffle_seed` permutes the
-/// edge-processing order; the fixpoint is confluent, so results are
-/// unaffected, which the differential tests check over many seeds.
+/// domain, per-edge offered cursors, and a dirty-instance worklist, then
+/// the announce pass. Each edge evaluates each source route exactly once
+/// over the run, through policies compiled once up front. A `shuffle_seed`
+/// permutes the edge-processing order; the fixpoint is confluent, so
+/// results are unaffected, which the differential tests check over many
+/// seeds.
+Propagation propagate(const Problem& problem,
+                      std::optional<std::uint64_t> shuffle_seed);
+
+/// The sorted route vectors of a propagation's bitmaps.
+FixpointResult materialize(const Propagation& propagation);
+
+/// materialize(propagate(problem, shuffle_seed)).
 FixpointResult run_semi_naive(const Problem& problem,
                               std::optional<std::uint64_t> shuffle_seed);
 

@@ -11,6 +11,38 @@
 
 namespace rd::analysis {
 
+namespace {
+
+/// The Problem `run` and `summarize` both evaluate: the external offer
+/// universe (prop::external_universe: default route + policy-mentioned
+/// prefixes + `options.external_prefixes`, internal subnets excluded,
+/// sorted and deduplicated), discovered under the options' iteration guard
+/// and active endpoints.
+prop::Problem problem_for(const model::Network& network,
+                          const graph::InstanceSet& instances,
+                          const ReachabilityAnalysis::Options& options) {
+  prop::DiscoverOptions discover_options;
+  discover_options.max_iterations = options.max_iterations;
+  discover_options.active_external_endpoints =
+      options.active_external_endpoints;
+  return prop::discover(
+      network, instances, discover_options,
+      prop::external_universe(network, options.external_prefixes));
+}
+
+/// Logical-event counters: identical totals at every thread count (the
+/// fixpoint is confluent), so they belong in the deterministic counter
+/// set. Added once per run, not per route.
+void count_run(std::size_t iterations, std::size_t routes,
+               std::size_t announced) {
+  obs::counter("reachability.runs").add();
+  obs::counter("reachability.iterations").add(iterations);
+  obs::counter("reachability.routes").add(routes);
+  obs::counter("reachability.announced").add(announced);
+}
+
+}  // namespace
+
 ReachabilityAnalysis ReachabilityAnalysis::run(
     const model::Network& network, const graph::InstanceSet& instances,
     const Options& options) {
@@ -19,18 +51,11 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
   ReachabilityAnalysis analysis;
   const std::size_t n = instances.instances.size();
 
-  // --- External offer universe (prop::external_universe): default route +
-  // policy-mentioned prefixes + caller-supplied prefixes, internal subnets
-  // excluded, sorted and deduplicated.
-  analysis.external_origin_ =
-      prop::external_universe(network, options.external_prefixes);
-
-  prop::DiscoverOptions discover_options;
-  discover_options.max_iterations = options.max_iterations;
-  discover_options.active_external_endpoints =
-      options.active_external_endpoints;
-  const prop::Problem problem = prop::discover(
-      network, instances, discover_options, analysis.external_origin_);
+  const prop::Problem problem = problem_for(network, instances, options);
+  analysis.external_origin_.reserve(problem.universe.size());
+  for (const auto& offer : problem.universe) {
+    analysis.external_origin_.push_back(offer.prefix);
+  }
   prop::FixpointResult result = prop::run_semi_naive(problem, {});
 
   analysis.routes_ = std::move(result.routes);
@@ -38,16 +63,10 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
   analysis.iterations_ = result.iterations;
   analysis.converged_ = result.converged;
 
-  // Logical-event counters: identical totals at every thread count (the
-  // fixpoint is confluent), so they belong in the deterministic counter
-  // set. Summed once here, not per add_route.
   if (obs::counting_enabled()) {
     std::size_t total_routes = 0;
     for (const auto& routes : analysis.routes_) total_routes += routes.size();
-    obs::counter("reachability.runs").add();
-    obs::counter("reachability.iterations").add(result.iterations);
-    obs::counter("reachability.routes").add(total_routes);
-    obs::counter("reachability.announced").add(analysis.announced_.size());
+    count_run(result.iterations, total_routes, analysis.announced_.size());
   }
 
   // --- Covering index bookkeeping. Routes sort shortest-prefix-first, so
@@ -65,6 +84,37 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
     }
   }
   return analysis;
+}
+
+ReachabilityAnalysis::Summary ReachabilityAnalysis::summarize(
+    const model::Network& network, const graph::InstanceSet& instances,
+    const Options& options) {
+  obs::Span run_span("reachability.run", "reachability");
+  run_span.arg("instances", instances.instances.size());
+  const prop::Propagation fixpoint =
+      prop::propagate(problem_for(network, instances, options), {});
+
+  // `run` notes a default when an instance's sorted routes start with a
+  // /0, tagged or not: here, when any /0 position's bit is set.
+  std::vector<std::uint32_t> defaults;
+  for (std::uint32_t pos = 0; pos < fixpoint.domain.size(); ++pos) {
+    if (fixpoint.domain[pos].prefix.length() == 0) defaults.push_back(pos);
+  }
+  Summary summary;
+  for (const auto& bits : fixpoint.member) {
+    summary.total_routes += prop::held_count(bits);
+    if (std::any_of(defaults.begin(), defaults.end(), [&](std::uint32_t pos) {
+          return prop::holds(bits, pos);
+        })) {
+      ++summary.instances_reaching_internet;
+    }
+  }
+  summary.announced = prop::held_count(fixpoint.announced);
+  summary.converged = fixpoint.converged;
+  if (obs::counting_enabled()) {
+    count_run(fixpoint.iterations, summary.total_routes, summary.announced);
+  }
+  return summary;
 }
 
 bool ReachabilityAnalysis::instance_holds(std::uint32_t instance,

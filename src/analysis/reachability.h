@@ -56,6 +56,24 @@ class ReachabilityAnalysis {
     return run(network, instances, Options{});
   }
 
+  /// The figures a what-if scenario reads from the fixpoint, each equal to
+  /// what `run` on the same inputs yields: the summed `instance_routes`
+  /// sizes, the count of instances where `instance_reaches_internet` holds,
+  /// `announced_externally().size()` and `converged()`.
+  struct Summary {
+    std::size_t total_routes = 0;
+    std::size_t instances_reaching_internet = 0;
+    std::size_t announced = 0;
+    bool converged = true;
+  };
+
+  /// The fixpoint `run` computes, counted off its bitmaps
+  /// (`prop::propagate`) instead of materialized into route vectors. Opens
+  /// the same span and adds the same counters as `run`.
+  static Summary summarize(const model::Network& network,
+                           const graph::InstanceSet& instances,
+                           const Options& options);
+
   /// Routes present in an instance's RIBs after the fixpoint, sorted
   /// ascending (the same order the former std::set iteration produced).
   const std::vector<model::Route>& instance_routes(

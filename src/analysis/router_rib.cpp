@@ -105,7 +105,7 @@ RouterRibAnalysis RouterRibAnalysis::run(
   RouterRibAnalysis out;
   out.ribs_.resize(network.router_count());
   out.process_load_.resize(network.processes().size(), 0);
-  out.has_external_.resize(network.router_count(), false);
+  out.has_default_.resize(network.router_count(), false);
 
   for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
     out.process_load_[p] =
@@ -189,7 +189,7 @@ RouterRibAnalysis RouterRibAnalysis::run(
 
     out.ribs_[r].assign(merged.begin(), merged.end());
     // Prefixes order by length first, so a default route sorts first.
-    out.has_external_[r] =
+    out.has_default_[r] =
         !merged.empty() && merged.front().prefix.length() == 0;
   }
   return out;
@@ -203,11 +203,11 @@ bool RouterRibAnalysis::router_can_reach(model::RouterId router,
   return false;
 }
 
-std::vector<model::RouterId> RouterRibAnalysis::routers_with_external_routes()
+std::vector<model::RouterId> RouterRibAnalysis::routers_with_default_route()
     const {
   std::vector<model::RouterId> out;
-  for (model::RouterId r = 0; r < has_external_.size(); ++r) {
-    if (has_external_[r]) out.push_back(r);
+  for (model::RouterId r = 0; r < has_default_.size(); ++r) {
+    if (has_default_[r]) out.push_back(r);
   }
   return out;
 }

@@ -63,7 +63,7 @@ class RouterRibAnalysis {
   bool router_can_reach(model::RouterId router, ip::Ipv4Address addr) const;
 
   /// Routers whose RIB holds the default route (0.0.0.0/0).
-  std::vector<model::RouterId> routers_with_external_routes() const;
+  std::vector<model::RouterId> routers_with_default_route() const;
 
   /// Distribution of RIB sizes across routers (for load reporting).
   std::vector<std::size_t> rib_sizes() const;
@@ -71,7 +71,7 @@ class RouterRibAnalysis {
  private:
   std::vector<std::vector<SelectedRoute>> ribs_;
   std::vector<std::size_t> process_load_;
-  std::vector<bool> has_external_;
+  std::vector<bool> has_default_;
 };
 
 }  // namespace rd::analysis

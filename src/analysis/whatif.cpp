@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <utility>
 
@@ -228,7 +229,8 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
   // Each scenario is an independent fixpoint on its own degraded network
   // model, built once and shared by the structural and reachability
   // halves; parallel_map puts result i in slot i, so the sweep's output is
-  // identical at any thread count.
+  // identical at any thread count. The fixpoint is only counted, never
+  // materialized into route vectors: the impact reads four figures of it.
   obs::counter("sweep.scenarios").add(scenarios.size());
   const auto redundancy =
       redistribution_redundancy(network, graph::InstanceGraph::build(network));
@@ -237,21 +239,20 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
     span.label(s.name);
     ScenarioImpact impact;
     impact.scenario = s;
+    std::optional<obs::Span> rebuild;
+    rebuild.emplace("sweep.rebuild", "reachability");
     const auto degraded = without_routers(network, s.failed);
     const auto degraded_instances = graph::compute_instances(degraded);
     impact.structural = structural_impact(network, baseline, s.failed,
                                           degraded, degraded_instances,
                                           redundancy);
-    const auto reach =
-        ReachabilityAnalysis::run(degraded, degraded_instances, reach_options);
-    for (std::uint32_t i = 0; i < degraded_instances.instances.size(); ++i) {
-      if (reach.instance_reaches_internet(i)) {
-        ++impact.instances_reaching_internet;
-      }
-      impact.total_routes += reach.instance_routes(i).size();
-    }
-    impact.announced_externally = reach.announced_externally().size();
-    impact.reachability_converged = reach.converged();
+    rebuild.reset();
+    const auto reach = ReachabilityAnalysis::summarize(
+        degraded, degraded_instances, reach_options);
+    impact.instances_reaching_internet = reach.instances_reaching_internet;
+    impact.total_routes = reach.total_routes;
+    impact.announced_externally = reach.announced;
+    impact.reachability_converged = reach.converged;
     return impact;
   });
 }

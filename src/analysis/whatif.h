@@ -85,7 +85,8 @@ std::vector<FailureScenario> single_failure_scenarios(
     const model::Network& network, const graph::InstanceGraph& graph);
 
 /// Evaluate every scenario — one independent route-propagation fixpoint per
-/// scenario on the degraded network — fanned out across the pool. Result
+/// scenario on the degraded network, counted by
+/// `ReachabilityAnalysis::summarize` — fanned out across the pool. Result
 /// `i` is scenario `i`'s impact regardless of scheduling, so parallel
 /// sweeps are byte-identical to the serial loop.
 std::vector<ScenarioImpact> sweep_failure_scenarios(

@@ -4,6 +4,8 @@
 #include <optional>
 #include <utility>
 
+#include "obs/obs.h"
+
 namespace rd::pipeline {
 
 model::Network build_network_cached(const std::vector<std::string>& texts,
@@ -18,6 +20,7 @@ model::Network build_network_cached(const std::vector<std::string>& texts,
   auto shared = util::parallel_map(
       pool, texts,
       [&cache](const std::string& text) { return cache.parse(text); });
+  obs::Span span("model.build", "pipeline");
   std::vector<config::ParseResult> parses;
   parses.reserve(shared.size());
   for (std::size_t i = 0; i < shared.size(); ++i) {

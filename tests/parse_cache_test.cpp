@@ -2,6 +2,8 @@
 // hit/miss accounting (deterministic at one thread), identical-text dedup
 // (one entry, one shared result), correctness of cached results against
 // direct parses, and a concurrent differential matrix at 1/2/8 threads.
+// A traced cached build runs its config copies and model build under one
+// `model.build` span, as the serial build does.
 // Also pins the SHA-1 implementation under the cache to the RFC 3174 test
 // vectors — the x86 SHA-NI fast path and the portable path must agree.
 
@@ -12,11 +14,13 @@
 #include <vector>
 
 #include "config/writer.h"
+#include "obs/obs.h"
 #include "pipeline/parse_cache.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/series.h"
 #include "synth/archetypes.h"
 #include "util/hash.h"
+#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace rd {
@@ -161,6 +165,35 @@ TEST(ParseCache, CachedBuildMatchesSerialAtEveryThreadCount) {
     EXPECT_EQ(stats.entries, stats.misses) << "threads " << threads;
     EXPECT_LE(stats.entries, texts.size()) << "threads " << threads;
   }
+}
+
+TEST(ParseCache, CachedBuildRecordsOneModelBuildSpan) {
+  synth::ManagedEnterpriseParams params;
+  params.regions = 2;
+  params.spokes_per_region = 4;
+  const auto texts = texts_of(synth::make_managed_enterprise(params));
+  pipeline::ParseCache cache;
+  util::ThreadPool pool(2);
+  auto& registry = obs::Registry::instance();
+  registry.set_tracing(false);
+  registry.reset();
+  registry.set_tracing(true);
+  pipeline::build_network_cached(texts, {}, cache, pool);
+  registry.set_tracing(false);
+  const auto doc = util::Json::parse(registry.trace_json());
+  registry.reset();
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t builds = 0;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const auto* name = events->at(i)->get("name");
+    if (name != nullptr && name->if_string() != nullptr &&
+        *name->if_string() == "model.build") {
+      ++builds;
+    }
+  }
+  EXPECT_EQ(builds, 1u);
 }
 
 // Hammer one identical text from eight threads: whatever the race outcome,

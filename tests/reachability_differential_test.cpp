@@ -5,6 +5,8 @@
 // endpoint subset, at any thread count, and under randomized edge
 // orderings. The propagation rules are monotone, so the fixpoint is
 // confluent — identical outputs are a theorem the suite checks empirically.
+// The what-if sweep's count-only fixpoint (`ReachabilityAnalysis::summarize`)
+// must report the materialized fixpoint's figures on every scenario.
 //
 // Stress volume is dialable: RD_FUZZ_SEEDS controls how many shuffle seeds
 // the confluence test tries (default 8).
@@ -20,6 +22,7 @@
 #include "analysis/propagation.h"
 #include "analysis/reachability.h"
 #include "analysis/whatif.h"
+#include "config/parser.h"
 #include "graph/instances.h"
 #include "model/network.h"
 #include "pipeline/pipeline.h"
@@ -285,6 +288,138 @@ TEST(ReachabilityDifferential, WhatIfSweepIdenticalAcrossThreadsAndEngines) {
     oracle.push_back(std::move(impact));
   }
   expect_same_sweep(serial, oracle, "naive oracle sweep");
+}
+
+/// The count-only fixpoint (`ReachabilityAnalysis::summarize`) against the
+/// materialized one (`run`) on the same inputs; returns the summary.
+ReachabilityAnalysis::Summary expect_summary_matches(
+    const model::Network& network, const graph::InstanceSet& instances,
+    const Options& options, const std::string& label) {
+  const auto summary =
+      ReachabilityAnalysis::summarize(network, instances, options);
+  const auto full = ReachabilityAnalysis::run(network, instances, options);
+  std::size_t routes = 0;
+  std::size_t reaching = 0;
+  for (std::uint32_t i = 0; i < instances.instances.size(); ++i) {
+    routes += full.instance_routes(i).size();
+    if (full.instance_reaches_internet(i)) ++reaching;
+  }
+  EXPECT_EQ(summary.total_routes, routes) << label;
+  EXPECT_EQ(summary.instances_reaching_internet, reaching) << label;
+  EXPECT_EQ(summary.announced, full.announced_externally().size()) << label;
+  EXPECT_EQ(summary.converged, full.converged()) << label;
+  return summary;
+}
+
+// The what-if sweep counts each scenario's fixpoint off its bitmaps; every
+// figure must equal the materialized fixpoint's on the same degraded
+// network, and the sweep must report exactly those figures.
+TEST(ReachabilityDifferential, ScenarioSummaryEqualsMaterializedFixpoint) {
+  struct Subject {
+    std::string name;
+    model::Network network;
+    Options options;
+  };
+  std::vector<Subject> subjects;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    synth::ManagedEnterpriseParams p;
+    p.seed = seed;
+    subjects.push_back(
+        {"managed seed " + std::to_string(seed),
+         model::Network::build(
+             synth::reparse(synth::make_managed_enterprise(p).configs)),
+         {}});
+  }
+  {
+    const auto plan = synth::net15_plan();
+    Subject net15{"net15",
+                  model::Network::build(
+                      synth::reparse(synth::make_net15().configs)),
+                  {}};
+    net15.options.external_prefixes = {plan.ab0, plan.external_left,
+                                       plan.external_right};
+    subjects.push_back(std::move(net15));
+  }
+
+  util::ThreadPool pool(2);
+  for (const auto& subject : subjects) {
+    const auto graph = graph::InstanceGraph::build(subject.network);
+    const auto scenarios = single_failure_scenarios(subject.network, graph);
+    ASSERT_FALSE(scenarios.empty()) << subject.name;
+    const auto impacts = sweep_failure_scenarios(
+        subject.network, graph.set, scenarios, subject.options, pool);
+    ASSERT_EQ(impacts.size(), scenarios.size()) << subject.name;
+    for (std::size_t k = 0; k < scenarios.size(); ++k) {
+      const std::string label = subject.name + " without " + scenarios[k].name;
+      const auto degraded =
+          without_routers(subject.network, scenarios[k].failed);
+      const auto instances = graph::compute_instances(degraded);
+      const auto summary =
+          expect_summary_matches(degraded, instances, subject.options, label);
+      EXPECT_EQ(impacts[k].total_routes, summary.total_routes) << label;
+      EXPECT_EQ(impacts[k].instances_reaching_internet,
+                summary.instances_reaching_internet)
+          << label;
+      EXPECT_EQ(impacts[k].announced_externally, summary.announced) << label;
+      EXPECT_EQ(impacts[k].reachability_converged, summary.converged)
+          << label;
+    }
+  }
+}
+
+TEST(ReachabilityDifferential, SummaryCountsATaggedDefaultAsReachingInternet) {
+  // OSPF learns the default only through a redistribution route-map that
+  // tags it, so its one /0 route is 0.0.0.0/0 tag 7.
+  const auto network = model::Network::build(
+      {config::parse_config("hostname border\n"
+                            "interface FastEthernet0/0\n"
+                            " ip address 10.1.0.1 255.255.255.0\n"
+                            "interface Serial0/0 point-to-point\n"
+                            " ip address 10.9.0.1 255.255.255.252\n"
+                            "router ospf 1\n"
+                            " network 10.1.0.0 0.0.0.255 area 0\n"
+                            " redistribute bgp 65000 route-map TAG7\n"
+                            "router bgp 65000\n"
+                            " neighbor 10.9.0.2 remote-as 701\n"
+                            "route-map TAG7 permit 10\n"
+                            " set tag 7\n",
+                            "border")
+           .config});
+  const auto instances = graph::compute_instances(network);
+  const auto full = ReachabilityAnalysis::run(network, instances);
+  const model::Route untagged{ip::Prefix(ip::Ipv4Address(0u), 0),
+                              std::nullopt};
+  const model::Route tagged{untagged.prefix, 7u};
+  std::size_t tagged_only = 0;
+  for (std::uint32_t i = 0; i < instances.instances.size(); ++i) {
+    if (full.instance_holds(i, tagged) && !full.instance_holds(i, untagged)) {
+      ++tagged_only;
+      EXPECT_TRUE(full.instance_reaches_internet(i));
+    }
+  }
+  ASSERT_EQ(tagged_only, 1u) << "the OSPF instance holds only the tagged /0";
+  const auto summary =
+      expect_summary_matches(network, instances, Options{}, "tagged default");
+  EXPECT_EQ(summary.instances_reaching_internet, instances.instances.size());
+}
+
+TEST(ReachabilityDifferential, SummaryOfACutOffFixpointIsTruncated) {
+  // Managed seed 1 needs six rounds; cut off after one, it holds fewer
+  // routes and announces fewer.
+  synth::ManagedEnterpriseParams p;
+  p.seed = 1;
+  const auto network = model::Network::build(
+      synth::reparse(synth::make_managed_enterprise(p).configs));
+  const auto instances = graph::compute_instances(network);
+  Options truncated;
+  truncated.max_iterations = 1;
+  const auto cut =
+      expect_summary_matches(network, instances, truncated, "max_iterations 1");
+  EXPECT_FALSE(cut.converged);
+  const auto done = ReachabilityAnalysis::summarize(network, instances, {});
+  EXPECT_TRUE(done.converged);
+  EXPECT_LT(cut.total_routes, done.total_routes);
+  EXPECT_LT(cut.announced, done.announced);
 }
 
 TEST(ReachabilityDifferential, EgressAttributionIdenticalAcrossThreads) {

@@ -246,7 +246,7 @@ TEST(RouterRib, ExternalRoutesFlag) {
        " ip address 10.9.0.1 255.255.255.252\n"
        "router bgp 65000\n neighbor 10.9.0.2 remote-as 701\n"});
   const auto analysis = analyze(net);
-  const auto externals = analysis.routers_with_external_routes();
+  const auto externals = analysis.routers_with_default_route();
   ASSERT_EQ(externals.size(), 1u);  // the default route arrived unfiltered
   EXPECT_EQ(externals[0], 0u);
 }
@@ -368,7 +368,7 @@ void expect_reference_ribs(const synth::SynthNetwork& synth_network) {
   }
   EXPECT_EQ(mismatched_routers, 0u)
       << synth_network.name << ", first at " << first_mismatch;
-  EXPECT_EQ(ribs.routers_with_external_routes(), with_default)
+  EXPECT_EQ(ribs.routers_with_default_route(), with_default)
       << synth_network.name;
   EXPECT_GT(routes, network.router_count()) << synth_network.name;
 }

@@ -6,7 +6,8 @@
 // Unix-socket Server). A client that hangs up without reading its reply
 // (EPIPE) must not take the daemon down. Fresh pair queries from concurrent
 // clients share the fleet's one fixpoint, and a running Server joins the
-// threads of finished connections.
+// threads of finished connections. The survivability section sweeps only
+// the scenarios it prints, and traces each one's rebuild and fixpoint.
 
 #include <gtest/gtest.h>
 #include <pthread.h>
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <latch>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -436,6 +438,136 @@ TEST(ServeQueries, AuditReportTracesEachSectionOnce) {
                        "audit.address_structure", "audit.design",
                        "audit.survivability", "audit.route_load",
                        "audit.intents", "audit.rules"}));
+}
+
+/// A generated network as the one-shot CLIs would build it.
+struct Built {
+  model::Network network;
+  graph::InstanceGraph graph;
+
+  explicit Built(const synth::SynthNetwork& net)
+      : network(model::Network::build(synth::reparse(net.configs))),
+        graph(graph::InstanceGraph::build(network)) {}
+};
+
+Built managed_seed(std::uint64_t seed) {
+  synth::ManagedEnterpriseParams params;
+  params.seed = seed;
+  return Built(synth::make_managed_enterprise(params));
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServeQueries, SurvivabilitySweepsOnlyShownScenarios) {
+  // The survivability section prints the first five single-failure
+  // scenarios and sweeps only those; its count line still names them all.
+  synth::TextbookEnterpriseParams enterprise;
+  enterprise.seed = 1;
+  const struct {
+    const char* name;
+    Built built;
+    std::size_t scenarios;
+    std::size_t swept;
+  } cases[] = {
+      {"managed seed 1", managed_seed(1), 10, 5},
+      {"enterprise", Built(synth::make_textbook_enterprise(enterprise)), 5, 5},
+  };
+  auto& registry = obs::Registry::instance();
+  util::ThreadPool pool(2);
+  for (const auto& c : cases) {
+    registry.set_counting(false);
+    registry.reset();
+    registry.set_counting(true);
+    const auto report =
+        serve::whatif_report(c.built.network, c.built.graph, pool);
+    registry.set_counting(false);
+    const auto swept = obs::counter("sweep.scenarios").value();
+    const auto runs = obs::counter("reachability.runs").value();
+    registry.reset();
+    EXPECT_EQ(count_of(report.output, "single-failure sweep: " +
+                                          std::to_string(c.scenarios) +
+                                          " scenarios\n"),
+              1u)
+        << c.name << "\n" << report.output;
+    EXPECT_EQ(count_of(report.output, ": instances "), c.swept) << c.name;
+    EXPECT_EQ(swept, c.swept) << c.name;
+    EXPECT_EQ(runs, c.swept) << c.name;
+  }
+}
+
+TEST(ServeQueries, SurvivabilityTracesEachScenarioRebuildAndFixpoint) {
+  // Every swept scenario's span holds one `sweep.rebuild` child (the
+  // degraded network, its instances and the structural impact) and one
+  // `reachability.run` child (the counted fixpoint).
+  const auto built = managed_seed(1);
+  util::ThreadPool pool(2);
+  auto& registry = obs::Registry::instance();
+  registry.set_tracing(false);
+  registry.reset();
+  registry.set_tracing(true);
+  serve::whatif_report(built.network, built.graph, pool);
+  registry.set_tracing(false);
+  const auto doc = util::Json::parse(registry.trace_json());
+  registry.reset();
+  ASSERT_TRUE(doc.has_value());
+  const auto* events = doc->get("traceEvents");
+  ASSERT_NE(events, nullptr);
+
+  struct Event {
+    std::string name;
+    long long tid = 0;
+    double ts = 0;
+    long long depth = 0;
+  };
+  std::vector<Event> spans;
+  for (std::size_t i = 0; i < events->size(); ++i) {
+    const auto* e = events->at(i);
+    const auto* ph = e->get("ph");
+    if (ph == nullptr || ph->if_string() == nullptr ||
+        *ph->if_string() != "X") {
+      continue;
+    }
+    spans.push_back({*e->get("name")->if_string(), e->get("tid")->int_or(-1),
+                     e->get("ts")->number_or(-1),
+                     e->get("args")->get("depth")->int_or(-1)});
+  }
+  // Spans on one thread nest, so a span's parent is the latest span on its
+  // thread, one level up, that started no later than it did.
+  std::map<std::size_t, std::map<std::string, std::size_t>> children;
+  std::size_t scenarios = 0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].name == "sweep.scenario") {
+      ++scenarios;
+      children[i];
+    }
+    const Event* parent = nullptr;
+    std::size_t parent_index = 0;
+    for (std::size_t j = 0; j < spans.size(); ++j) {
+      const auto& p = spans[j];
+      if (p.tid != spans[i].tid || p.depth + 1 != spans[i].depth ||
+          p.ts > spans[i].ts || (parent != nullptr && p.ts < parent->ts)) {
+        continue;
+      }
+      parent = &p;
+      parent_index = j;
+    }
+    if (parent != nullptr && parent->name == "sweep.scenario") {
+      ++children[parent_index][spans[i].name];
+    }
+  }
+  EXPECT_EQ(scenarios, 5u);
+  for (const auto& [index, names] : children) {
+    EXPECT_EQ(names, (std::map<std::string, std::size_t>{
+                         {"reachability.run", 1}, {"sweep.rebuild", 1}}))
+        << "scenario span " << index;
+  }
 }
 
 TEST(ServeService, RepeatAnalysisRequestsHitTheResponseCache) {
