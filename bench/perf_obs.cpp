@@ -17,6 +17,7 @@
 #include "obs/obs.h"
 #include "pipeline/pipeline.h"
 #include "synth/archetypes.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -92,8 +93,10 @@ BENCHMARK(BM_CounterEnabled);
 void BM_PipelineTracingOff(benchmark::State& state) {
   disarm();
   const auto texts = managed_texts();
+  util::ThreadPool pool(1);
   for (auto _ : state) {
-    const auto reports = pipeline::analyze_fleet_serial({{"bench", texts}});
+    const auto reports =
+        pipeline::analyze_fleet_parallel({{"bench", texts}}, pool);
     benchmark::DoNotOptimize(reports.front().json.size());
   }
 }
@@ -104,11 +107,13 @@ void BM_PipelineTracingOn(benchmark::State& state) {
   obs::Registry::instance().set_tracing(true);
   obs::Registry::instance().set_counting(true);
   const auto texts = managed_texts();
+  util::ThreadPool pool(1);
   for (auto _ : state) {
     // Reset per iteration so the event buffer doesn't grow without bound
     // across measurement repetitions.
     obs::Registry::instance().reset();
-    const auto reports = pipeline::analyze_fleet_serial({{"bench", texts}});
+    const auto reports =
+        pipeline::analyze_fleet_parallel({{"bench", texts}}, pool);
     benchmark::DoNotOptimize(reports.front().json.size());
   }
   state.counters["events"] = static_cast<double>(

@@ -100,7 +100,9 @@ BENCHMARK(BM_AnonymizeConfig);
 //
 // BM_SerialParseNetwork is the serial baseline for BM_ParallelParse: both
 // parse the same ~170-router managed enterprise end to end and build the
-// model. Speedup = serial time / parallel time at the reported thread count.
+// model. BM_ParallelParse times the cached build the CLIs and rdd load
+// through, with a fresh cache per iteration so every text is parsed on the
+// pool. Speedup = serial time / parallel time at the reported thread count.
 
 void BM_SerialParseNetwork(benchmark::State& state) {
   const auto net = managed_of_size(40);
@@ -123,7 +125,9 @@ void BM_ParallelParse(benchmark::State& state) {
   for (const auto& text : texts) bytes += text.size();
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline::build_network_parallel(texts, pool));
+    pipeline::ParseCache cache;
+    benchmark::DoNotOptimize(
+        pipeline::build_network_cached(texts, {}, cache, pool));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
@@ -172,15 +176,6 @@ std::vector<pipeline::FleetInput> bench_fleet_inputs() {
 
 }  // namespace
 
-void BM_SerialFleet(benchmark::State& state) {
-  const auto inputs = bench_fleet_inputs();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline::analyze_fleet_serial(inputs));
-  }
-  state.counters["networks"] = static_cast<double>(inputs.size());
-}
-BENCHMARK(BM_SerialFleet);
-
 void BM_ParallelFleet(benchmark::State& state) {
   const auto inputs = bench_fleet_inputs();
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
@@ -190,6 +185,8 @@ void BM_ParallelFleet(benchmark::State& state) {
   state.counters["networks"] = static_cast<double>(inputs.size());
   state.counters["threads"] = static_cast<double>(pool.size());
 }
+// Arg 1 is the serial loop: a one-thread pool runs every task on the
+// caller.
 BENCHMARK(BM_ParallelFleet)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // --- incremental snapshot re-analysis (content-addressed parse cache) --------
@@ -329,8 +326,11 @@ void BM_SnapshotSeries_Cold(benchmark::State& state) {
   evolve_texts(evolved, base, 4, 0);
   const std::vector<pipeline::SnapshotInput> series = {{"t0", base},
                                                        {"t1", evolved}};
+  util::ThreadPool pool(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipeline::analyze_snapshot_series_serial(series));
+    pipeline::ParseCache cache;  // cold: every text parsed
+    benchmark::DoNotOptimize(
+        pipeline::analyze_snapshot_series(series, cache, pool));
   }
 }
 BENCHMARK(BM_SnapshotSeries_Cold);

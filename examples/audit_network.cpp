@@ -29,18 +29,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "cli_util.h"
 #include "config/writer.h"
-#include "graph/instances.h"
-#include "model/network.h"
 #include "pipeline/parse_cache.h"
-#include "pipeline/pipeline.h"
-#include "pipeline/series.h"
 #include "serve/queries.h"
+#include "serve/service.h"
 #include "synth/archetypes.h"
-#include "synth/emit.h"
 #include "util/thread_pool.h"
 
 static int run(int argc, char** argv) {
@@ -103,24 +100,23 @@ static int run(int argc, char** argv) {
   obs_options.enable();
 
   util::ThreadPool pool(threads);
-  std::optional<model::Network> network;
-  if (config_dir != nullptr) {
-    if (!std::filesystem::is_directory(config_dir)) {
-      std::fprintf(stderr, "%s is not a directory\n", config_dir);
-      return 2;
-    }
-    // Provenance-stamped cached build: the same construction the rdd
-    // daemon uses to load a fleet, so findings carry file:line provenance
-    // and the daemon's response is byte-identical to this report.
-    auto loaded = synth::load_network_texts_named(config_dir);
-    if (loaded.texts.empty()) {
-      std::fprintf(stderr, "no configuration files found\n");
-      return 2;
-    }
+  if (config_dir != nullptr && !std::filesystem::is_directory(config_dir)) {
+    std::fprintf(stderr, "%s is not a directory\n", config_dir);
+    return 2;
+  }
+  if (config_dir == nullptr) {
+    std::printf("(auditing a generated managed enterprise; pass a config "
+                "directory to audit your own network)\n\n");
+  }
+  // The construction the rdd daemon loads a fleet with, so findings carry
+  // file:line provenance and `rdctl audit` answers with these exact bytes.
+  // The cache lives only through the build: the model owns copies of the
+  // parses.
+  const auto fleet = [&] {
     pipeline::ParseCache cache;
-    network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                             cache, pool);
-  } else {
+    if (config_dir != nullptr) {
+      return serve::load_fleet(config_dir, cache, pool);
+    }
     synth::ManagedEnterpriseParams params;
     params.regions = 3;
     params.spokes_per_region = 14;
@@ -129,15 +125,13 @@ static int run(int argc, char** argv) {
     for (const auto& cfg : synth::make_managed_enterprise(params).configs) {
       texts.push_back(config::write_config(cfg));
     }
-    std::printf("(auditing a generated managed enterprise; pass a config "
-                "directory to audit your own network)\n\n");
-    network = pipeline::build_network_parallel(texts, pool);
-  }
+    return serve::load_fleet("generated-managed-enterprise", texts, {}, cache,
+                             pool);
+  }();
 
-  const auto ig = graph::InstanceGraph::build(*network);
-  const auto report = whatif_only
-                          ? serve::whatif_report(*network, ig, pool)
-                          : serve::audit_report(*network, ig, pool);
+  const auto report =
+      whatif_only ? serve::whatif_report(*fleet.network, *fleet.graph, pool)
+                  : serve::audit_report(*fleet.context, pool);
   std::fwrite(report.output.data(), 1, report.output.size(), stdout);
   if (const int rc = obs_options.finish("audit_network"); rc != 0) return rc;
   return report.exit_code;

@@ -26,11 +26,10 @@
 //   --trace FILE                 # Chrome trace-event JSON: one span per
 //                                # rule, plus parse and pool spans
 //   --metrics                    # deterministic event counters on stderr
-//   --timings                    # per-rule wall time on stderr (superseded
-//                                # by --trace, kept for compatibility)
 //
 // Exit codes: 0 = no error-severity finding, 1 = at least one
 // error-severity finding, 2 = usage or I/O error.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,14 +43,12 @@
 #include "analysis/rules.h"
 #include "cli_util.h"
 #include "config/writer.h"
-#include "graph/instances.h"
-#include "model/network.h"
 #include "pipeline/parse_cache.h"
-#include "pipeline/series.h"
 #include "serve/queries.h"
+#include "serve/service.h"
 #include "synth/archetypes.h"
-#include "synth/emit.h"
 #include "util/json.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -86,8 +83,6 @@ void print_usage() {
       "                            parse, and pool spans; open in\n"
       "                            chrome://tracing or Perfetto)\n"
       "  --metrics                 deterministic event counters on stderr\n"
-      "  --timings                 per-rule wall time on stderr\n"
-      "                            (superseded by --trace)\n"
       "  --help                    this text\n"
       "\n"
       "suppressions: a '! rdlint-disable RD007 RD031' comment anywhere in\n"
@@ -99,14 +94,6 @@ void print_usage() {
       "  2  usage or I/O error\n");
 }
 
-/// One finding in the shared rdlint text style (serve/queries.cpp), so
-/// the baseline section's lines match the daemon-rendered report's.
-void print_finding(const analysis::Finding& finding, const char* prefix) {
-  std::string line;
-  serve::append_finding_line(line, finding, prefix);
-  std::fwrite(line.data(), 1, line.size(), stdout);
-}
-
 }  // namespace
 
 static int run(int argc, char** argv) {
@@ -114,7 +101,6 @@ static int run(int argc, char** argv) {
   std::string format = "text";
   const char* baseline_path = nullptr;
   std::size_t threads = 0;
-  bool timings = false;
   cli::ObsOptions obs_options;
 
   for (int i = 1; i < argc; ++i) {
@@ -149,8 +135,6 @@ static int run(int argc, char** argv) {
         std::fprintf(stderr, "--threads wants an integer in [1, 1024]\n");
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--timings") == 0) {
-      timings = true;
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "unknown option '%s' (see --help)\n", argv[i]);
       return 2;
@@ -169,12 +153,20 @@ static int run(int argc, char** argv) {
   util::ThreadPool pool(threads);
   const auto engine = analysis::RuleEngine::with_default_rules();
 
-  // Build the (final) network and, in series mode, walk the snapshots
-  // through the parse cache, classifying each transition by fingerprint.
-  std::string name;
-  std::optional<model::Network> network;
-  std::optional<analysis::RuleEngine::Result> result;
+  // One loop over the snapshots: the demo is a series of one generated
+  // network, one directory a series of one. Every snapshot loads through
+  // the construction the rdd daemon uses, on one parse cache, so an
+  // unchanged router costs one hash, not one parse, and each finding
+  // carries its config file name. Each transition is classified by
+  // finding fingerprint; the last snapshot is the report.
   if (dirs.empty()) {
+    std::fprintf(stderr, "(linting a generated managed enterprise; pass a "
+                         "config directory to lint your own network)\n");
+  }
+  const std::size_t snapshots = std::max<std::size_t>(dirs.size(), 1);
+  pipeline::ParseCache cache;
+  const auto load = [&](std::size_t s) {
+    if (!dirs.empty()) return serve::load_fleet(dirs[s].string(), cache, pool);
     synth::ManagedEnterpriseParams params;
     params.regions = 3;
     params.spokes_per_region = 14;
@@ -183,66 +175,31 @@ static int run(int argc, char** argv) {
     for (const auto& cfg : synth::make_managed_enterprise(params).configs) {
       texts.push_back(config::write_config(cfg));
     }
-    name = "generated-managed-enterprise";
-    network = pipeline::build_network_parallel(texts, pool);
-    result = engine.run(*network, pool);
-    std::fprintf(stderr, "(linting a generated managed enterprise; pass a "
-                         "config directory to lint your own network)\n");
-  } else if (dirs.size() == 1) {
-    // Single network: the cached build with file-name provenance, the
-    // construction audit_network and rdd share, so every finding carries
-    // its config file name.
-    name = dirs[0].filename().string();
-    if (name.empty()) name = dirs[0].string();
-    const auto loaded = synth::load_network_texts_named(dirs[0]);
-    if (loaded.texts.empty()) {
-      std::fprintf(stderr, "no configuration files in %s\n",
-                   dirs[0].string().c_str());
-      return 2;
+    return serve::load_fleet("generated-managed-enterprise", texts, {}, cache,
+                             pool);
+  };
+  std::string name;
+  analysis::RuleEngine::Result result;
+  std::vector<std::string> previous;
+  for (std::size_t s = 0; s < snapshots; ++s) {
+    const auto fleet = load(s);
+    // The model owns copies of the parses: past the last load the cache
+    // only holds memory.
+    if (s + 1 == snapshots) cache.clear();
+    result = engine.run(*fleet.context, pool);
+    name = fleet.report_name;
+    if (s > 0) {
+      const auto delta =
+          analysis::diff_against_baseline(result.findings, previous);
+      std::fprintf(stderr,
+                   "snapshot %s -> %s: %zu new, %zu fixed, %zu unchanged\n",
+                   dirs[s - 1].filename().string().c_str(), name.c_str(),
+                   delta.new_findings.size(), delta.fixed.size(),
+                   delta.unchanged.size());
     }
-    pipeline::ParseCache cache;
-    network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                             cache, pool);
-    result = engine.run(*network, pool);
-  } else {
-    // Snapshot series: unchanged routers cost one hash, not one parse. The
-    // names give each snapshot the single-directory run's file provenance.
-    pipeline::ParseCache cache;
-    std::vector<std::string> previous;
-    for (std::size_t s = 0; s < dirs.size(); ++s) {
-      const auto loaded = synth::load_network_texts_named(dirs[s]);
-      if (loaded.texts.empty()) {
-        std::fprintf(stderr, "no configuration files in %s\n",
-                     dirs[s].string().c_str());
-        return 2;
-      }
-      name = dirs[s].filename().string();
-      if (name.empty()) name = dirs[s].string();
-      network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                               cache, pool);
-      result = engine.run(*network, pool);
-      if (s > 0) {
-        const auto delta = analysis::diff_against_baseline(result->findings,
-                                                           previous);
-        std::fprintf(stderr,
-                     "snapshot %s -> %s: %zu new, %zu fixed, %zu unchanged\n",
-                     dirs[s - 1].filename().string().c_str(), name.c_str(),
-                     delta.new_findings.size(), delta.fixed.size(),
-                     delta.unchanged.size());
-      }
-      previous.clear();
-      previous.reserve(result->findings.size());
-      for (const auto& f : result->findings) {
-        previous.push_back(analysis::finding_fingerprint(f));
-      }
-    }
-  }
-
-  if (timings) {
-    std::fprintf(stderr, "per-rule wall time (nondeterministic):\n");
-    for (const auto& t : result->timings) {
-      std::fprintf(stderr, "  %-6s %8.3f ms  %zu finding(s)\n",
-                   t.rule_id.c_str(), t.millis, t.findings);
+    previous.clear();
+    for (const auto& f : result.findings) {
+      previous.push_back(analysis::finding_fingerprint(f));
     }
   }
 
@@ -261,58 +218,49 @@ static int run(int argc, char** argv) {
                    baseline_path);
       return 2;
     }
-    delta = analysis::diff_against_baseline(result->findings, *fingerprints);
+    delta = analysis::diff_against_baseline(result.findings, *fingerprints);
   }
 
-  if (format == "sarif") {
-    if (delta) {
-      std::fprintf(stderr, "note: --baseline summary: %zu new, %zu fixed, "
-                           "%zu unchanged (not represented in SARIF)\n",
-                   delta->new_findings.size(), delta->fixed.size(),
-                   delta->unchanged.size());
+  std::string out = serve::render_lint_report(
+      engine, result, name, *serve::lint_format_from(format));
+  if (delta && format == "sarif") {
+    std::fprintf(stderr, "note: --baseline summary: %zu new, %zu fixed, "
+                         "%zu unchanged (not represented in SARIF)\n",
+                 delta->new_findings.size(), delta->fixed.size(),
+                 delta->unchanged.size());
+  } else if (delta && format == "json") {
+    // Re-parse the report and graft the baseline section on, so stdout
+    // stays one valid JSON document.
+    auto doc = util::Json::parse(out);
+    auto baseline = util::Json::object();
+    baseline.set("new", delta->new_findings.size());
+    baseline.set("fixed", delta->fixed.size());
+    baseline.set("unchanged", delta->unchanged.size());
+    auto fixed = util::Json::array();
+    for (const auto& fp : delta->fixed) fixed.push_back(fp);
+    baseline.set("fixed_fingerprints", std::move(fixed));
+    auto fresh = util::Json::array();
+    for (const auto& f : delta->new_findings) {
+      fresh.push_back(analysis::finding_fingerprint(f));
     }
-    std::printf("%s\n", analysis::findings_to_sarif(engine, *result).c_str());
-  } else if (format == "json") {
-    auto json = analysis::findings_to_json(engine, *result, name);
-    if (delta) {
-      // Re-parse the report and graft the baseline section on, so stdout
-      // stays one valid JSON document.
-      auto doc = util::Json::parse(json);
-      auto baseline = util::Json::object();
-      baseline.set("new", delta->new_findings.size());
-      baseline.set("fixed", delta->fixed.size());
-      baseline.set("unchanged", delta->unchanged.size());
-      auto fixed = util::Json::array();
-      for (const auto& fp : delta->fixed) fixed.push_back(fp);
-      baseline.set("fixed_fingerprints", std::move(fixed));
-      auto fresh = util::Json::array();
-      for (const auto& f : delta->new_findings) {
-        fresh.push_back(analysis::finding_fingerprint(f));
-      }
-      baseline.set("new_fingerprints", std::move(fresh));
-      doc->set("baseline", std::move(baseline));
-      json = doc->dump(2);
-    }
-    std::printf("%s\n", json.c_str());
-  } else {
-    const auto text = serve::render_lint_report(engine, *result, name,
-                                                serve::LintFormat::kText);
-    std::fwrite(text.data(), 1, text.size(), stdout);
-    if (delta) {
-      std::printf("baseline: %zu new, %zu fixed, %zu unchanged\n",
+    baseline.set("new_fingerprints", std::move(fresh));
+    doc->set("baseline", std::move(baseline));
+    out = doc->dump(2) + "\n";
+  } else if (delta) {
+    util::appendf(out, "baseline: %zu new, %zu fixed, %zu unchanged\n",
                   delta->new_findings.size(), delta->fixed.size(),
                   delta->unchanged.size());
-      for (const auto& finding : delta->new_findings) {
-        print_finding(finding, "new ");
-      }
-      for (const auto& fp : delta->fixed) {
-        std::printf("  fixed %s\n", fp.c_str());
-      }
+    for (const auto& finding : delta->new_findings) {
+      serve::append_finding_line(out, finding, "new ");
+    }
+    for (const auto& fp : delta->fixed) {
+      util::appendf(out, "  fixed %s\n", fp.c_str());
     }
   }
+  std::fwrite(out.data(), 1, out.size(), stdout);
 
   if (const int rc = obs_options.finish("rdlint"); rc != 0) return rc;
-  return result->has_errors() ? 1 : 0;
+  return result.has_errors() ? 1 : 0;
 }
 
 int main(int argc, char** argv) {

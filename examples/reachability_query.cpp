@@ -27,17 +27,16 @@
 
 #include <cstdio>
 #include <cstring>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "analysis/reachability.h"
 #include "cli_util.h"
-#include "graph/instances.h"
-#include "model/network.h"
+#include "config/writer.h"
 #include "pipeline/parse_cache.h"
-#include "pipeline/series.h"
 #include "serve/queries.h"
+#include "serve/service.h"
 #include "synth/archetypes.h"
-#include "synth/emit.h"
 #include "util/thread_pool.h"
 
 static int run(int argc, char** argv) {
@@ -90,37 +89,37 @@ static int run(int argc, char** argv) {
     }
   }
   obs_options.enable();
-  std::optional<model::Network> network;
-  if (!positional.empty()) {
-    // Provenance-stamped cached build: the construction audit_network,
-    // rdlint and the rdd daemon share, so `rdctl reachability` answers
-    // with these exact bytes.
-    const auto loaded = synth::load_network_texts_named(positional[0]);
-    if (loaded.texts.empty()) {
-      std::fprintf(stderr, "no configuration files found\n");
-      return 2;
-    }
-    util::ThreadPool pool;
-    pipeline::ParseCache cache;
-    network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                             cache, pool);
-  } else {
-    network = model::Network::build(
-        synth::reparse(synth::make_net15().configs));
+  if (positional.empty()) {
     const auto plan = synth::net15_plan();
     request.external_prefixes = {plan.ab0, plan.external_left,
                                  plan.external_right};
     std::printf("(querying the generated net15 case study; pass a config "
                 "directory for your own network)\n\n");
   }
+  // The construction audit_network, rdlint and the rdd daemon share, so
+  // `rdctl reachability` answers with these exact bytes. The demo is a
+  // handful of routers and builds on the calling thread alone.
+  util::ThreadPool pool(positional.empty() ? 1 : 0);
+  const auto fleet = [&] {
+    pipeline::ParseCache cache;
+    if (!positional.empty()) {
+      return serve::load_fleet(positional[0], cache, pool);
+    }
+    // Each router's text is named by its hostname.
+    std::vector<std::string> texts;
+    std::vector<std::string> names;
+    for (const auto& cfg : synth::make_net15().configs) {
+      texts.push_back(config::write_config(cfg));
+      names.push_back(cfg.hostname);
+    }
+    return serve::load_fleet("net15", texts, names, cache, pool);
+  }();
   // A lone address reaches reachability_report, which rejects it with exit
   // 2, the check a daemon request gets too.
   if (positional.size() > 1) request.source = positional[1];
   if (positional.size() > 2) request.destination = positional[2];
 
-  const auto instances = graph::compute_instances(*network);
-  const auto report =
-      serve::reachability_report(*network, instances, request);
+  const auto report = serve::reachability_report(*fleet.context, request);
   if (!report.error.empty()) {
     std::fwrite(report.error.data(), 1, report.error.size(), stderr);
   }
@@ -132,13 +131,15 @@ static int run(int argc, char** argv) {
   if (positional.empty() && !request.symbolic) {
     analysis::ReachabilityAnalysis::Options options;
     options.external_prefixes = request.external_prefixes;
+    const auto& network = *fleet.network;
+    const auto& instances = fleet.graph->set;
     const auto reach =
-        analysis::ReachabilityAnalysis::run(*network, instances, options);
+        analysis::ReachabilityAnalysis::run(network, instances, options);
     const auto plan = synth::net15_plan();
     const auto a = ip::Ipv4Address(plan.ab2.network().value() + 257);
     const auto b = ip::Ipv4Address(plan.ab4.network().value() + 257);
-    const auto ia = serve::instance_attached_to(*network, instances, a);
-    const auto ib = serve::instance_attached_to(*network, instances, b);
+    const auto ia = serve::instance_attached_to(network, instances, a);
+    const auto ib = serve::instance_attached_to(network, instances, b);
     std::printf("\ncase-study question: can AB2 hosts (%s) and AB4 hosts "
                 "(%s) communicate?\n  -> %s (the paper's section 6.2 "
                 "finding: they cannot; the policy intersections are empty)\n",

@@ -25,18 +25,15 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "cli_util.h"
-#include "graph/instances.h"
-#include "model/network.h"
+#include "config/writer.h"
 #include "pipeline/parse_cache.h"
-#include "pipeline/pipeline.h"
-#include "pipeline/series.h"
+#include "serve/service.h"
 #include "sim/sweep.h"
 #include "synth/archetypes.h"
-#include "synth/emit.h"
 #include "util/thread_pool.h"
 
 static int run(int argc, char** argv) {
@@ -45,7 +42,7 @@ static int run(int argc, char** argv) {
   sim::SweepOptions options;
   cli::ObsOptions obs_options;
   std::size_t threads = 0;
-  bool fleet = false;
+  bool fleet_mode = false;
   const char* config_dir = nullptr;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--help") == 0 ||
@@ -123,7 +120,7 @@ static int run(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--log") == 0) {
       options.record_log = true;
     } else if (std::strcmp(argv[i], "--fleet") == 0) {
-      fleet = true;
+      fleet_mode = true;
     } else if (config_dir != nullptr) {
       std::fprintf(stderr, "unexpected argument '%s': simulate_convergence "
                            "takes one config directory\n", argv[i]);
@@ -135,52 +132,37 @@ static int run(int argc, char** argv) {
   obs_options.enable();
 
   util::ThreadPool pool(threads);
-  if (fleet) {
-    const std::string report =
-        sim::fleet_simulation_report(42, options, pool);
-    std::fputs(report.c_str(), stdout);
-    if (const int rc = obs_options.finish("simulate_convergence"); rc != 0) {
-      return rc;
-    }
-    return report.find("MISMATCH") == std::string::npos ? 0 : 1;
-  }
-
-  std::optional<model::Network> network;
-  if (config_dir != nullptr) {
-    if (!std::filesystem::is_directory(config_dir)) {
+  std::string report;
+  if (fleet_mode) {
+    report = sim::fleet_simulation_report(42, options, pool);
+  } else {
+    if (config_dir != nullptr && !std::filesystem::is_directory(config_dir)) {
       std::fprintf(stderr, "%s is not a directory\n", config_dir);
       return 2;
     }
-    auto loaded = synth::load_network_texts_named(config_dir);
-    if (loaded.texts.empty()) {
-      std::fprintf(stderr, "no configuration files found\n");
-      return 2;
-    }
-    pipeline::ParseCache cache;
-    network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                             cache, pool);
-  } else {
-    // Demo: a two-IGP-instance enterprise with a BGP border — small enough
-    // to read the whole report, rich enough to have redistribution edges
-    // and interesting single-failure scenarios.
-    synth::TextbookEnterpriseParams params;
-    params.routers = 24;
-    params.border_routers = 2;
-    params.igp_instances = 2;
-    network = model::Network::build(
-        synth::make_textbook_enterprise(params).configs);
-  }
-  const graph::InstanceGraph ig = graph::InstanceGraph::build(*network);
-  std::string report = sim::simulate_report(*network, ig, options, pool);
-  if (options.record_log) {
-    const auto scenarios =
-        sim::flap_scenarios(*network, ig, options.max_scenarios);
-    const auto results =
-        sim::sweep_scenarios(*network, ig.set, scenarios, options, pool);
-    for (const auto& result : results) {
-      report += "\n--- event log: " + result.name + " ---\n";
-      report += result.log;
-    }
+    // The construction the rdd daemon loads a fleet with, so `rdctl
+    // simulate` answers with these exact bytes.
+    const auto fleet = [&] {
+      pipeline::ParseCache cache;
+      if (config_dir != nullptr) {
+        return serve::load_fleet(config_dir, cache, pool);
+      }
+      // Demo: a two-IGP-instance enterprise with a BGP border — small
+      // enough to read the whole report, rich enough to have
+      // redistribution edges and interesting single-failure scenarios.
+      synth::TextbookEnterpriseParams params;
+      params.routers = 24;
+      params.border_routers = 2;
+      params.igp_instances = 2;
+      std::vector<std::string> texts;
+      for (const auto& cfg :
+           synth::make_textbook_enterprise(params).configs) {
+        texts.push_back(config::write_config(cfg));
+      }
+      return serve::load_fleet("textbook-enterprise", texts, {}, cache,
+                               pool);
+    }();
+    report = sim::simulate_report(*fleet.network, *fleet.graph, options, pool);
   }
   std::fputs(report.c_str(), stdout);
   if (const int rc = obs_options.finish("simulate_convergence"); rc != 0) {

@@ -128,6 +128,7 @@ class RuleEngine {
   /// order: byte-identical at every pool size (one thread: the serial loop).
   Result run(const Context& context, util::ThreadPool& pool) const;
   /// Same, over a fresh context (building the instance graph if not given).
+  /// No product path calls these two; benchmark/, bench/ and the tests do.
   Result run(const model::Network& network, util::ThreadPool& pool) const;
   Result run(const model::Network& network, const graph::InstanceGraph& graph,
              util::ThreadPool& pool) const;

@@ -54,18 +54,6 @@ model::Network build_network_serial(const std::vector<std::string>& texts) {
   return model::Network::build_parsed(std::move(parses));
 }
 
-model::Network build_network_parallel(const std::vector<std::string>& texts,
-                                      util::ThreadPool& pool) {
-  std::vector<config::ParseResult> parses;
-  {
-    obs::Span span("parse.network", "pipeline");
-    span.arg("routers", texts.size());
-    parses = util::parallel_map(pool, texts, parse_one);
-  }
-  obs::Span span("model.build", "pipeline");
-  return model::Network::build_parsed(std::move(parses));
-}
-
 std::string network_signature(const model::Network& network) {
   using util::Json;
   auto root = Json::object();
@@ -441,17 +429,6 @@ NetworkReport analyze_network(const std::string& name,
   report.json = root.dump();
   report.instance_graph_dot = graph::to_dot(network, ig);
   return report;
-}
-
-std::vector<NetworkReport> analyze_fleet_serial(
-    const std::vector<FleetInput>& inputs) {
-  std::vector<NetworkReport> reports;
-  reports.reserve(inputs.size());
-  for (const auto& input : inputs) {
-    reports.push_back(
-        analyze_network(input.name, build_network_serial(input.texts)));
-  }
-  return reports;
 }
 
 std::vector<NetworkReport> analyze_fleet_parallel(

@@ -15,17 +15,15 @@ namespace rd::pipeline {
 // independently; only the model-build step (link inference onward) looks
 // across routers. That makes the parse embarrassingly parallel. The
 // determinism contract: configs are assembled in input index order before
-// `model::Network::build` runs, so the parallel path's Network is
-// byte-identical (same ids, same vector orders, same serializations) to the
-// serial path's.
+// `model::Network::build` runs, so the cached, parallel build
+// (pipeline::build_network_cached, series.h) yields a Network
+// byte-identical (same ids, same vector orders, same serializations) to
+// the serial path's.
 
-/// Serial reference path: parse texts[0..n) in order, build the model.
+/// Serial path: parse texts[0..n) in order, build the model. The fleet
+/// task's build (each task already holds one pool thread), and the uncached
+/// reference build_network_cached is tested against.
 model::Network build_network_serial(const std::vector<std::string>& texts);
-
-/// Parallel path: texts parsed concurrently on `pool`, results merged in
-/// index order, model built from the ordered configs.
-model::Network build_network_parallel(const std::vector<std::string>& texts,
-                                      util::ThreadPool& pool);
 
 /// Canonical JSON serialization of everything the model derived: routers,
 /// interfaces, links, routing processes, IGP adjacencies, BGP sessions, and
@@ -74,12 +72,9 @@ struct NetworkReport {
 NetworkReport analyze_network(const std::string& name,
                               const model::Network& network);
 
-/// Serial reference: parse + build + analyze each input in order.
-std::vector<NetworkReport> analyze_fleet_serial(
-    const std::vector<FleetInput>& inputs);
-
-/// Parallel fleet analysis: one task per network, reports merged in input
-/// index order — element-for-element identical to the serial path.
+/// Fleet analysis: one task per network (parse + build + analyze), reports
+/// merged in input index order, so the result is element-for-element
+/// identical at every pool size; a one-thread pool is the serial loop.
 std::vector<NetworkReport> analyze_fleet_parallel(
     const std::vector<FleetInput>& inputs, util::ThreadPool& pool);
 

@@ -64,24 +64,4 @@ SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
   return out;
 }
 
-SeriesReport analyze_snapshot_series_serial(
-    const std::vector<SnapshotInput>& series) {
-  SeriesReport out;
-  out.snapshots.reserve(series.size());
-  if (series.size() > 1) out.diffs.reserve(series.size() - 1);
-
-  std::optional<model::Network> previous;
-  for (const auto& snapshot : series) {
-    model::Network network = build_network_serial(snapshot.texts);
-    SnapshotReport entry;
-    entry.report = analyze_network(snapshot.name, network);
-    entry.signature = network_signature(network);
-    entry.cache_misses = snapshot.texts.size();  // every parse is cold
-    out.snapshots.push_back(std::move(entry));
-    if (previous) out.diffs.push_back(analysis::diff_designs(*previous, network));
-    previous = std::move(network);
-  }
-  return out;
-}
-
 }  // namespace rd::pipeline

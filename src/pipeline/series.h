@@ -69,15 +69,12 @@ model::Network build_network_cached(const std::vector<std::string>& texts,
 
 /// Analyze N ordered snapshots incrementally. The cache persists across
 /// snapshots (and across calls — prime it with one series, keep it for the
-/// next), so an unchanged router costs one hash instead of one parse.
+/// next), so an unchanged router costs one hash instead of one parse. The
+/// differential tests compare it byte-for-byte against a cold reference
+/// (no cache, serial parse, every snapshot from scratch) kept in
+/// tests/snapshot_series_test.cpp.
 SeriesReport analyze_snapshot_series(const std::vector<SnapshotInput>& series,
                                      ParseCache& cache,
                                      util::ThreadPool& pool);
-
-/// Cold reference path: no cache, serial parse, every snapshot from
-/// scratch. The differential tests compare the incremental path against
-/// this byte-for-byte.
-SeriesReport analyze_snapshot_series_serial(
-    const std::vector<SnapshotInput>& series);
 
 }  // namespace rd::pipeline

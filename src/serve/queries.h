@@ -17,14 +17,16 @@
 namespace rd::serve {
 
 /// The re-entrant query entry points behind both the one-shot CLIs and the
-/// rdd daemon (DESIGN.md §14). Each function renders one complete report
-/// into a string using util::appendf (vsnprintf — the same formatting
-/// engine printf uses), so the daemon's response payload and the CLI's
-/// stdout are byte-identical by construction; the differential tests and
-/// the CI smoke step `cmp` the two. Every function is const over the model
-/// (safe to call concurrently from many worker threads over one resident
-/// fleet) and deterministic: identical inputs produce identical bytes at
-/// every thread count and request interleaving.
+/// rdd daemon (DESIGN.md §14): both load a network through
+/// serve::load_fleet (service.h) and call the same bodies on what it
+/// returns. Each function renders one complete report into a string using
+/// util::appendf (vsnprintf — the same formatting engine printf uses), so
+/// the daemon's response payload and the CLI's stdout are byte-identical by
+/// construction; the differential tests and the CI smoke step `cmp` the
+/// two. Every function is const over the model (safe to call concurrently
+/// from many worker threads over one resident fleet) and deterministic:
+/// identical inputs produce identical bytes at every thread count and
+/// request interleaving.
 struct QueryResult {
   std::string output;  // exact bytes the one-shot CLI writes to stdout
   std::string error;   // stderr-destined diagnostic (usage errors)
@@ -41,6 +43,7 @@ struct QueryResult {
 QueryResult audit_report(const analysis::Context& ctx,
                          util::ThreadPool& pool);
 /// The same report over a context of its own, built for this one call.
+/// No product path calls it; benchmark/, bench/ and the tests do.
 QueryResult audit_report(const model::Network& network,
                          const graph::InstanceGraph& ig,
                          util::ThreadPool& pool);
@@ -57,7 +60,8 @@ std::optional<LintFormat> lint_format_from(std::string_view name);
 /// Render an already-computed rule-engine result exactly as rdlint prints
 /// it (including the trailing newline of the json/sarif modes). The CLI
 /// uses this after its own engine run (it needs the findings for baseline
-/// and snapshot deltas); lint_report composes run + render for the daemon.
+/// and snapshot deltas) in every format; lint_report composes run + render
+/// for the daemon.
 std::string render_lint_report(const analysis::RuleEngine& engine,
                                const analysis::RuleEngine::Result& result,
                                const std::string& name, LintFormat format);
@@ -78,7 +82,8 @@ QueryResult lint_report(const analysis::Context& ctx,
                         util::ThreadPool& pool);
 /// The same report over a context of its own. Passing the already-built
 /// instance graph skips rebuilding it; with nullptr one is built — the
-/// findings are identical either way.
+/// findings are identical either way. No product path calls it;
+/// benchmark/ and the tests do.
 QueryResult lint_report(const model::Network& network,
                         const analysis::RuleEngine& engine,
                         const std::string& name, LintFormat format,
@@ -109,7 +114,8 @@ struct ReachabilityRequest {
 /// (the daemon maps that to an error response). The convergence warning,
 /// stderr-bound in the CLI, lands in `error` with exit 0. This overload
 /// runs its own fixpoint and, in the symbolic mode with no pair, its own
-/// intent verification.
+/// intent verification. The context overload forwards a request with
+/// `external_prefixes` here; otherwise benchmark/ and the tests call it.
 QueryResult reachability_report(const model::Network& network,
                                 const graph::InstanceSet& instances,
                                 const ReachabilityRequest& request);

@@ -25,36 +25,49 @@ Service::Service(const Options& options)
   if (options.cache_bytes > 0) cache_.set_byte_limit(options.cache_bytes);
 }
 
+ResidentFleet load_fleet(const std::string& report_name,
+                         const std::vector<std::string>& texts,
+                         const std::vector<std::string>& names,
+                         pipeline::ParseCache& cache, util::ThreadPool& pool) {
+  ResidentFleet fleet;
+  fleet.report_name = report_name;
+  fleet.config_files = texts.size();
+  fleet.network = std::make_unique<const model::Network>(
+      pipeline::build_network_cached(texts, names, cache, pool));
+  fleet.graph = std::make_unique<const graph::InstanceGraph>(
+      graph::InstanceGraph::build(*fleet.network));
+  fleet.context =
+      std::make_unique<const analysis::Context>(*fleet.network, *fleet.graph);
+  return fleet;
+}
+
+ResidentFleet load_fleet(const std::string& directory,
+                         pipeline::ParseCache& cache, util::ThreadPool& pool) {
+  const auto loaded = synth::load_network_texts_named(directory);
+  if (loaded.texts.empty()) {
+    throw std::runtime_error("no configuration files in " + directory);
+  }
+  std::string report_name =
+      std::filesystem::path(directory).filename().string();
+  if (report_name.empty()) report_name = directory;
+  auto fleet =
+      load_fleet(report_name, loaded.texts, loaded.names, cache, pool);
+  fleet.directory = directory;
+  return fleet;
+}
+
 Service::LoadStats Service::add_fleet(const std::string& name,
                                       const std::string& directory) {
   if (find_fleet(name) != nullptr) {
     throw std::runtime_error("fleet '" + name + "' already loaded");
   }
-  auto loaded = synth::load_network_texts_named(directory);
-  if (loaded.texts.empty()) {
-    throw std::runtime_error("no configuration files in " + directory);
-  }
   const auto before = cache_.stats();
-  auto network = pipeline::build_network_cached(loaded.texts, loaded.names,
-                                                cache_, pool_);
+  auto fleet = load_fleet(directory, cache_, pool_);
   const auto after = cache_.stats();
-
-  ResidentFleet fleet;
   fleet.name = name;
-  fleet.directory = directory;
-  fleet.report_name =
-      std::filesystem::path(directory).filename().string();
-  if (fleet.report_name.empty()) fleet.report_name = directory;
-  fleet.config_files = loaded.texts.size();
-  fleet.network =
-      std::make_unique<const model::Network>(std::move(network));
-  fleet.graph = std::make_unique<const graph::InstanceGraph>(
-      graph::InstanceGraph::build(*fleet.network));
-  fleet.context =
-      std::make_unique<const analysis::Context>(*fleet.network, *fleet.graph);
 
   LoadStats stats;
-  stats.config_files = loaded.texts.size();
+  stats.config_files = fleet.config_files;
   stats.memory_hits = after.hits - before.hits;
   stats.disk_hits = after.disk_hits - before.disk_hits;
   stats.cold_parses = after.misses - before.misses;

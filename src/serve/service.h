@@ -18,19 +18,28 @@
 
 namespace rd::serve {
 
-/// A fleet held resident by the daemon: the parsed+built network model, its
-/// instance graph and its analysis context, constructed once at load time
-/// and shared by every request thereafter. The context's facts (the route
-/// fixpoint, the intent verdicts, the dataflow) are built by the first
-/// request that reads each, never at load time, and are immutable once
-/// built. `reachability`, `headerspace`, `audit` and `rdlint` read them;
-/// `whatif` and `simulate` run fixpoints of their own.
+/// A loaded network: the parsed+built model, its instance graph and its
+/// analysis context, constructed once by `load_fleet` and shared by every
+/// report thereafter. The daemon holds one per resident fleet; each
+/// one-shot report CLI holds one per network it reads. The context's facts
+/// (the route fixpoint, the intent verdicts, the dataflow) are built by the
+/// first report that reads each, never at load time, and are immutable
+/// once built. `reachability`, `headerspace`, `audit` and `rdlint` read
+/// them; `whatif` and `simulate` run fixpoints of their own.
 struct ResidentFleet {
+  ResidentFleet() = default;
+  ResidentFleet(ResidentFleet&&) = default;
+  /// Deleted: move assignment replaces the members in declaration order,
+  /// so the old network would be freed while the old context still refers
+  /// to it. Declare each fleet where it is loaded.
+  ResidentFleet& operator=(ResidentFleet&&) = delete;
+
+  /// The daemon's routing name (`rdd --fleet NAME=DIR`); empty elsewhere.
   std::string name;
   std::string directory;
-  /// What reports call the network: the directory's basename, exactly as
-  /// the one-shot CLIs derive it — the fleet name is daemon-local routing,
-  /// not part of the byte-identity contract.
+  /// What reports call the network: the directory's basename (the whole
+  /// path when the basename is empty). The fleet name is daemon-local
+  /// routing, not part of the byte-identity contract.
   std::string report_name;
   std::size_t config_files = 0;
   std::unique_ptr<const model::Network> network;
@@ -38,6 +47,23 @@ struct ResidentFleet {
   /// Declared after what it refers to, so it is destroyed first.
   std::unique_ptr<const analysis::Context> context;
 };
+
+/// The one construction of a network from configuration text, shared by
+/// `Service::add_fleet` and the report CLIs (DESIGN.md §14): every
+/// `config*` file of `directory` is read with its file name
+/// (synth::load_network_texts_named), the model is built through `cache`
+/// on `pool` (pipeline::build_network_cached), then its instance graph and
+/// an empty analysis context. `name` is left empty. Throws
+/// std::runtime_error("no configuration files in DIR") when the directory
+/// has none, and std::filesystem errors when it cannot be read.
+ResidentFleet load_fleet(const std::string& directory,
+                         pipeline::ParseCache& cache, util::ThreadPool& pool);
+/// The same from texts already in memory (the generated demos). `names` is
+/// empty or has one entry per text, as build_network_cached takes it.
+ResidentFleet load_fleet(const std::string& report_name,
+                         const std::vector<std::string>& texts,
+                         const std::vector<std::string>& names,
+                         pipeline::ParseCache& cache, util::ThreadPool& pool);
 
 /// The rdd request processor, transport-free: `handle` maps one Request to
 /// one Response, so tests can drive the full dispatch path in-process and
@@ -72,10 +98,10 @@ class Service {
     std::size_t routers = 0;
   };
 
-  /// Parse (through the cache+store), build, and retain a fleet. Throws
-  /// std::runtime_error on an unreadable/empty directory or a duplicate
-  /// name. Not thread-safe against `handle`: load every fleet before
-  /// serving.
+  /// Load a fleet through `load_fleet` on the daemon's cache (+store) and
+  /// pool, and retain it. Throws std::runtime_error on an unreadable/empty
+  /// directory or a duplicate name. Not thread-safe against `handle`: load
+  /// every fleet before serving.
   LoadStats add_fleet(const std::string& name, const std::string& directory);
 
   /// Process one request. Re-entrant over the resident fleets; called

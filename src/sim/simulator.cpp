@@ -27,6 +27,17 @@ using analysis::prop::Problem;
 using model::Route;
 
 constexpr SimTime kNever = ~SimTime{0};
+
+// Protocol timers, classic distance-vector (RIP) defaults. All delays are
+// simulated milliseconds; nothing reads a wall clock.
+constexpr SimTime kAdvertiseIntervalMs = 30'000;  // periodic full-table update
+constexpr SimTime kTriggeredMinMs = 1'000;  // triggered-update jitter window
+constexpr SimTime kTriggeredMaxMs = 5'000;
+constexpr SimTime kInvalidAfterMs = 180'000;  // route invalidation (expiry)
+constexpr SimTime kGcAfterMs = 120'000;  // holddown before the entry is freed
+constexpr SimTime kLinkDelayMinMs = 10;  // per-edge propagation delay window
+constexpr SimTime kLinkDelayMaxMs = 50;
+
 constexpr std::uint16_t kNoMetric = 0xFFFF;
 constexpr std::int32_t kViaLocal = -1;   // Entry::via_edge: locally sourced
 constexpr std::int64_t kMapDeny = -1;    // SimEdge::map: chain denies
@@ -168,15 +179,14 @@ struct AggregateState {
 class Run {
  public:
   Run(const Problem& baseline, const Scenario& scenario,
-      const Options& options,
-      const std::vector<std::vector<Route>>* baseline_routes)
+      const SweepOptions& options,
+      const std::vector<std::vector<Route>>& baseline_routes)
       : baseline_(baseline),
         scenario_(scenario),
         options_(options),
-        timing_(options.timing),
         baseline_routes_(baseline_routes),
         rng_(util::Rng(options.seed).fork(scenario.name)),
-        wheel_(std::max(timing_.invalid_after_ms, timing_.gc_after_ms)),
+        wheel_(std::max(kInvalidAfterMs, kGcAfterMs)),
         domain_(baseline.universe),
         index_(baseline.universe.size() + baseline.seeds.size()),
         offer_count_(static_cast<std::uint32_t>(baseline.universe.size())) {
@@ -245,8 +255,7 @@ class Run {
 
   void push_edge(SimEdge edge) {
     edge.delay_ms =
-        timing_.link_delay_min_ms +
-        rng_.below(timing_.link_delay_max_ms - timing_.link_delay_min_ms + 1);
+        kLinkDelayMinMs + rng_.below(kLinkDelayMaxMs - kLinkDelayMinMs + 1);
     out_edges_[edge.from].push_back(static_cast<std::uint32_t>(edges_.size()));
     edges_.push_back(std::move(edge));
   }
@@ -408,7 +417,7 @@ class Run {
       entry.src_pos = src_pos;
       ++entry.gen;
       if (via >= 0) {
-        entry.deadline_ms = t + timing_.invalid_after_ms;
+        entry.deadline_ms = t + kInvalidAfterMs;
         wheel_.insert(entry.deadline_ms, {instance, pos, entry.gen});
       } else {
         entry.deadline_ms = 0;  // local entries never expire
@@ -432,7 +441,7 @@ class Run {
       entry.state = 2;
       entry.metric = infinity_;
       ++entry.gen;
-      entry.deadline_ms = t + timing_.gc_after_ms;
+      entry.deadline_ms = t + kGcAfterMs;
       wheel_.insert(entry.deadline_ms, {instance, pos, entry.gen});
       entry.had_valid = 1;
       entry.lost_at_ms = t;
@@ -543,9 +552,8 @@ class Run {
     if (triggered_pending_[instance]) return;
     triggered_pending_[instance] = 1;
     Event event;
-    event.at_ms = t + timing_.triggered_min_ms +
-                  rng_.below(timing_.triggered_max_ms -
-                             timing_.triggered_min_ms + 1);
+    event.at_ms =
+        t + kTriggeredMinMs + rng_.below(kTriggeredMaxMs - kTriggeredMinMs + 1);
     event.kind = Event::Kind::kTriggered;
     event.instance = instance;
     queue_.push(std::move(event));
@@ -630,7 +638,7 @@ class Run {
         // only wins by strict improvement; otherwise the two positions'
         // metrics couple as a = b + 1, b = a + 1 and climb forever even
         // with every real source intact.
-        entry.deadline_ms = t + timing_.invalid_after_ms;
+        entry.deadline_ms = t + kInvalidAfterMs;
         if (entry.src_pos == src_pos) {
           if (entry.metric != metric) {
             entry.metric = metric;
@@ -728,7 +736,7 @@ class Run {
   }
 
   void handle_recover(SimTime t) {
-    if (options_.cross_check) degraded_sets_ = valid_sets();
+    degraded_sets_ = valid_sets();
     recover_done_ = true;
     last_scenario_ = t;
     --scenario_pending_;
@@ -810,15 +818,13 @@ class Run {
   }
 
   SimTime settle_window() const {
-    return timing_.invalid_after_ms + timing_.gc_after_ms +
-           2 * timing_.advertise_interval_ms;
+    return kInvalidAfterMs + kGcAfterMs + 2 * kAdvertiseIntervalMs;
   }
 
   const Problem& baseline_;
   const Scenario& scenario_;
-  const Options& options_;
-  const Timing& timing_;
-  const std::vector<std::vector<Route>>* baseline_routes_;
+  const SweepOptions& options_;
+  const std::vector<std::vector<Route>>& baseline_routes_;
   util::Rng rng_;
   model::PolicyCompiler compiler_;
   EventQueue queue_;
@@ -871,7 +877,7 @@ ScenarioResult Run::run() {
   for (std::uint32_t i = 0; i < baseline_.instance_count; ++i) {
     if (out_edges_[i].empty()) continue;  // never advertises: no timer
     Event event;
-    event.at_ms = 1 + rng_.below(timing_.advertise_interval_ms);
+    event.at_ms = 1 + rng_.below(kAdvertiseIntervalMs);
     event.kind = Event::Kind::kPeriodic;
     event.instance = i;
     queue_.push(std::move(event));
@@ -947,7 +953,7 @@ ScenarioResult Run::run() {
       case Event::Kind::kPeriodic: {
         advertise(event.instance, t);
         Event next;
-        next.at_ms = t + timing_.advertise_interval_ms;
+        next.at_ms = t + kAdvertiseIntervalMs;
         next.kind = Event::Kind::kPeriodic;
         next.instance = event.instance;
         queue_.push(std::move(next));
@@ -983,41 +989,33 @@ ScenarioResult Run::run() {
   }
 
   // --- Fixpoint cross-checks against the static semi-naïve engine.
-  if (options_.cross_check) {
-    const bool flapped = !scenario_.failed.empty() &&
-                         scenario_.recover_at_ms.has_value();
-    std::size_t mismatched = 0;
-    if (scenario_.failed.empty() || flapped) {
-      // The final state of a flap (or no-failure) run is the intact
-      // network's fixpoint; a sweep precomputes it once and shares it.
-      if (baseline_routes_ != nullptr) {
-        mismatched = diff_count(final_sets, *baseline_routes_, "final");
-      } else {
-        mismatched = diff_count(
-            final_sets, analysis::prop::run_semi_naive(baseline_, {}).routes,
-            "final");
-      }
-    } else {
-      mismatched = diff_count(
-          final_sets,
-          analysis::prop::run_semi_naive(
-              analysis::prop::masked(baseline_, scenario_.failed), {})
-              .routes,
-          "final");
-    }
-    result_.final_match = mismatched == 0;
-    if (flapped && recover_done_) {
-      const auto expected_degraded =
-          analysis::prop::run_semi_naive(
-              analysis::prop::masked(baseline_, scenario_.failed), {})
-              .routes;
-      const std::size_t degraded_diff =
-          diff_count(degraded_sets_, expected_degraded, "degraded");
-      result_.degraded_match = degraded_diff == 0;
-      mismatched += degraded_diff;
-    }
-    result_.mismatched_routes = mismatched;
+  const bool flapped = !scenario_.failed.empty() &&
+                       scenario_.recover_at_ms.has_value();
+  std::size_t mismatched = 0;
+  if (scenario_.failed.empty() || flapped) {
+    // The final state of a flap (or no-failure) run is the intact
+    // network's fixpoint; a sweep precomputes it once and shares it.
+    mismatched = diff_count(final_sets, baseline_routes_, "final");
+  } else {
+    mismatched = diff_count(
+        final_sets,
+        analysis::prop::run_semi_naive(
+            analysis::prop::masked(baseline_, scenario_.failed), {})
+            .routes,
+        "final");
   }
+  result_.final_match = mismatched == 0;
+  if (flapped && recover_done_) {
+    const auto expected_degraded =
+        analysis::prop::run_semi_naive(
+            analysis::prop::masked(baseline_, scenario_.failed), {})
+            .routes;
+    const std::size_t degraded_diff =
+        diff_count(degraded_sets_, expected_degraded, "degraded");
+    result_.degraded_match = degraded_diff == 0;
+    mismatched += degraded_diff;
+  }
+  result_.mismatched_routes = mismatched;
 
   if (span.armed()) {
     span.arg("events", result_.events_processed);
@@ -1037,8 +1035,9 @@ ScenarioResult Run::run() {
 }  // namespace
 
 ScenarioResult simulate(
-    const Problem& baseline, const Scenario& scenario, const Options& options,
-    const std::vector<std::vector<model::Route>>* baseline_routes) {
+    const Problem& baseline, const Scenario& scenario,
+    const SweepOptions& options,
+    const std::vector<std::vector<model::Route>>& baseline_routes) {
   Run run(baseline, scenario, options, baseline_routes);
   return run.run();
 }

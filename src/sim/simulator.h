@@ -11,18 +11,6 @@
 
 namespace rd::sim {
 
-/// Protocol timing knobs, classic distance-vector (RIP) defaults. All
-/// delays are simulated milliseconds; nothing reads a wall clock.
-struct Timing {
-  SimTime advertise_interval_ms = 30'000;  // periodic full-table update
-  SimTime triggered_min_ms = 1'000;        // triggered-update jitter window
-  SimTime triggered_max_ms = 5'000;
-  SimTime invalid_after_ms = 180'000;  // route invalidation (expiry) timer
-  SimTime gc_after_ms = 120'000;       // holddown before the entry is freed
-  SimTime link_delay_min_ms = 10;      // per-edge propagation delay window
-  SimTime link_delay_max_ms = 50;
-};
-
 /// One failure scenario: the named routers go down at `fail_at_ms` and
 /// (when `recover_at_ms` is set — a flap) come back later. Masking follows
 /// prop::masked: seeds, endpoints, aggregates, and redistribution points
@@ -35,21 +23,28 @@ struct Scenario {
   std::optional<SimTime> recover_at_ms;
 };
 
-struct Options {
+/// The simulation's settings, shared by the CLI, the daemon op, and the
+/// fleet bench. Scenario runs derive everything else from `seed`, so two
+/// sweeps with equal options are byte-identical at any thread count. The
+/// protocol timers are constants (classic distance-vector defaults), and
+/// every run cross-checks its converged RIBs against the static semi-naïve
+/// fixpoint: the mid-failure state against prop::masked's fixpoint, the
+/// final state against the baseline's (or the masked one when there is no
+/// recovery).
+struct SweepOptions {
   std::uint64_t seed = 42;
   /// Hard stop (simulated ms). 0 = automatic: last scenario event plus two
   /// settle windows (a settle window is invalid + gc + 2 advertisement
   /// intervals — after that long with no state change, nothing pending can
   /// change anything again).
   SimTime until_ms = 0;
-  Timing timing;
+  /// Cap on failure scenarios per network (0 = all). The fleet report uses
+  /// a small cap and says so; single-network reports default to all.
+  std::size_t max_scenarios = 0;
   /// Append a per-event line to ScenarioResult::log — the byte-exact
-  /// determinism witness. Off for fleet sweeps (reports carry summaries).
+  /// determinism witness — and the logs to the single-network report. Off
+  /// for fleet sweeps (reports carry summaries).
   bool record_log = false;
-  /// Compare converged RIBs against the static semi-naïve fixpoint: the
-  /// mid-failure state against prop::masked's fixpoint, the final state
-  /// against the baseline's (or the masked one when there is no recovery).
-  bool cross_check = true;
 };
 
 /// Per-scenario outcome. All counters are logical-event counts, identical
@@ -76,25 +71,24 @@ struct ScenarioResult {
   SimTime blackhole_total_ms = 0;
   SimTime blackhole_max_ms = 0;
   std::size_t final_route_count = 0;  // sum of valid entries over instances
-  /// Fixpoint cross-checks (Options::cross_check): true when the simulated
-  /// RIBs equal the static semi-naïve engine's on the same (masked)
-  /// problem; `mismatched_routes` counts the symmetric difference.
+  /// Fixpoint cross-checks: true when the simulated RIBs equal the static
+  /// semi-naïve engine's on the same (masked) problem; `mismatched_routes`
+  /// counts the symmetric difference.
   bool degraded_match = true;
   bool final_match = true;
   std::size_t mismatched_routes = 0;
-  std::string log;  // event log when Options::record_log
+  std::string log;  // event log when SweepOptions::record_log
 };
 
 /// Runs one scenario of timed distance-vector convergence over the routing
 /// instance graph described by `baseline` (prop::discover's output for the
 /// intact network). Deterministic in (baseline, scenario, options.seed):
 /// the caller may fan scenarios out across threads and merge in scenario
-/// order for byte-identical sweeps. `baseline_routes`, when provided, is
-/// the precomputed baseline semi-naïve fixpoint (shared across a sweep);
-/// pass nullptr to have the run compute what it needs.
+/// order for byte-identical sweeps. `baseline_routes` is the baseline's
+/// semi-naïve fixpoint, computed once and shared across a sweep.
 ScenarioResult simulate(
     const analysis::prop::Problem& baseline, const Scenario& scenario,
-    const Options& options,
-    const std::vector<std::vector<model::Route>>* baseline_routes);
+    const SweepOptions& options,
+    const std::vector<std::vector<model::Route>>& baseline_routes);
 
 }  // namespace rd::sim

@@ -24,6 +24,14 @@ using util::appendf;
 constexpr SimTime kFailAtMs = 240'000;
 constexpr SimTime kOutageMs = 1'800'000;
 
+/// Cap on the external route universe fed to the simulation. The first N
+/// prefixes in ascending order are kept — deterministic, and the default
+/// route sorts first. Backbone/tier-2 policies mention tens of thousands of
+/// prefixes; simulating timer dynamics does not need all of them, and the
+/// fixpoint cross-check runs on the same truncated problem so it stays
+/// exact. The reports state the cap.
+constexpr std::size_t kMaxExternalPrefixes = 1024;
+
 double ms_to_s(SimTime ms) { return static_cast<double>(ms) / 1000.0; }
 
 std::string fmt_seconds(SimTime ms) {
@@ -62,27 +70,17 @@ std::vector<ScenarioResult> sweep_scenarios(
   obs::Span span("sim.sweep", "sim");
   span.arg("scenarios", scenarios.size());
   auto universe = analysis::prop::external_universe(network, {});
-  if (options.max_external_prefixes != 0 &&
-      universe.size() > options.max_external_prefixes) {
-    universe.resize(options.max_external_prefixes);
+  if (universe.size() > kMaxExternalPrefixes) {
+    universe.resize(kMaxExternalPrefixes);
   }
   const analysis::prop::Problem problem =
       analysis::prop::discover(network, instances, {}, universe);
   // The baseline fixpoint is shared by every flap scenario's final check;
   // computed once, read-only afterwards.
-  std::vector<std::vector<model::Route>> baseline_routes;
-  if (options.cross_check) {
-    baseline_routes = analysis::prop::run_semi_naive(problem, {}).routes;
-  }
-  Options scenario_options;
-  scenario_options.seed = options.seed;
-  scenario_options.until_ms = options.until_ms;
-  scenario_options.timing = options.timing;
-  scenario_options.record_log = options.record_log;
-  scenario_options.cross_check = options.cross_check;
+  const auto baseline_routes =
+      analysis::prop::run_semi_naive(problem, {}).routes;
   return util::parallel_map(pool, scenarios, [&](const Scenario& scenario) {
-    return simulate(problem, scenario, scenario_options,
-                    options.cross_check ? &baseline_routes : nullptr);
+    return simulate(problem, scenario, options, baseline_routes);
   });
 }
 
@@ -101,12 +99,10 @@ std::string simulate_report(const model::Network& network,
           "seed %llu, %zu scenarios (%zu flaps), %zu routing instances\n",
           static_cast<unsigned long long>(options.seed), results.size(),
           results.size() - 1, graph.set.instances.size());
-  if (options.max_external_prefixes != 0) {
-    appendf(out,
-            "external route universe capped at %zu prefixes (ascending "
-            "order; cross-checks run on the same capped problem)\n",
-            options.max_external_prefixes);
-  }
+  appendf(out,
+          "external route universe capped at %zu prefixes (ascending "
+          "order; cross-checks run on the same capped problem)\n",
+          kMaxExternalPrefixes);
   util::Table table({"scenario", "quiesced", "settle fail", "settle rec",
                      "changes", "loops", "blackholes", "max bh", "fixpoint"});
   std::size_t mismatches = 0;
@@ -123,14 +119,18 @@ std::string simulate_report(const model::Network& network,
          fmt_seconds(result.blackhole_max_ms), ok ? "ok" : "MISMATCH"});
   }
   out += table.to_string();
-  if (options.cross_check) {
-    if (mismatches == 0) {
-      appendf(out,
-              "fixpoint cross-check: every scenario's RIBs match the "
-              "static semi-naive engine\n");
-    } else {
-      appendf(out, "fixpoint cross-check: %zu scenario(s) MISMATCHED\n",
-              mismatches);
+  if (mismatches == 0) {
+    appendf(out,
+            "fixpoint cross-check: every scenario's RIBs match the static "
+            "semi-naive engine\n");
+  } else {
+    appendf(out, "fixpoint cross-check: %zu scenario(s) MISMATCHED\n",
+            mismatches);
+  }
+  if (options.record_log) {
+    for (const auto& result : results) {
+      out += "\n--- event log: " + result.name + " ---\n";
+      out += result.log;
     }
   }
   return out;
@@ -154,13 +154,11 @@ std::string fleet_simulation_report(std::uint64_t fleet_seed,
           "redistribution routers, analysis::single_failure_scenarios "
           "order)\n",
           per_network.max_scenarios);
-  if (per_network.max_external_prefixes != 0) {
-    appendf(out,
-            "external route universe capped at %zu prefixes per network "
-            "(ascending order; cross-checks run on the same capped "
-            "problem)\n",
-            per_network.max_external_prefixes);
-  }
+  appendf(out,
+          "external route universe capped at %zu prefixes per network "
+          "(ascending order; cross-checks run on the same capped "
+          "problem)\n",
+          kMaxExternalPrefixes);
 
   struct ArchetypeStats {
     std::size_t networks = 0;
@@ -276,15 +274,13 @@ std::string fleet_simulation_report(std::uint64_t fleet_seed,
          stats.mismatches == 0 ? "ok" : "MISMATCH"});
   }
   out += archetype_table.to_string();
-  if (options.cross_check) {
-    if (total_mismatches == 0) {
-      appendf(out,
-              "fixpoint cross-check: every scenario on every network "
-              "matches the static semi-naive engine\n");
-    } else {
-      appendf(out, "fixpoint cross-check: %zu scenario(s) MISMATCHED\n",
-              total_mismatches);
-    }
+  if (total_mismatches == 0) {
+    appendf(out,
+            "fixpoint cross-check: every scenario on every network "
+            "matches the static semi-naive engine\n");
+  } else {
+    appendf(out, "fixpoint cross-check: %zu scenario(s) MISMATCHED\n",
+            total_mismatches);
   }
   return out;
 }

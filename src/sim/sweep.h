@@ -11,27 +11,6 @@
 
 namespace rd::sim {
 
-/// Sweep-level knobs, shared by the CLI, the daemon op, and the fleet
-/// bench. Scenario runs derive everything else from `seed`, so two sweeps
-/// with equal options are byte-identical at any thread count.
-struct SweepOptions {
-  std::uint64_t seed = 42;
-  SimTime until_ms = 0;  // 0 = per-scenario automatic cap
-  /// Cap on failure scenarios per network (0 = all). The fleet report uses
-  /// a small cap and says so; single-network reports default to all.
-  std::size_t max_scenarios = 0;
-  /// Cap on the external route universe fed to the simulation (0 = all).
-  /// The first N prefixes in ascending order are kept — deterministic, and
-  /// the default route sorts first. Backbone/tier-2 policies mention tens
-  /// of thousands of prefixes; simulating timer dynamics does not need all
-  /// of them, and the fixpoint cross-check runs on the same truncated
-  /// problem so it stays exact. The cap is stated in the report.
-  std::size_t max_external_prefixes = 1024;
-  bool record_log = false;
-  bool cross_check = true;
-  Timing timing;
-};
-
 /// The scenario set for one network: a no-failure convergence baseline
 /// followed by one fail/recover flap per interesting single-router failure
 /// (analysis::single_failure_scenarios: articulation routers and sole
@@ -54,8 +33,9 @@ std::vector<ScenarioResult> sweep_scenarios(
 
 /// One network's convergence report: per-scenario table (settle times,
 /// transient micro-loops, blackhole windows, fixpoint verdicts) plus
-/// totals. No thread count appears in the text — the daemon/CLI
-/// differential diffs it verbatim.
+/// totals, and with `record_log` one "--- event log: NAME ---" section per
+/// scenario, from the same sweep. No thread count appears in the text —
+/// the daemon/CLI differential diffs it verbatim.
 std::string simulate_report(const model::Network& network,
                             const graph::InstanceGraph& graph,
                             const SweepOptions& options,

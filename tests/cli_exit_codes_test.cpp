@@ -174,20 +174,48 @@ TEST_F(CliExitCodesTest, GoodInvocationsStillExitZero) {
 }
 
 TEST_F(CliExitCodesTest, RdlintSeriesKeepsFileProvenance) {
-  // Series mode emits the last snapshot's report; it must carry the same
-  // file names as a single-directory run over that snapshot.
+  // Series mode emits the last snapshot's report; in every format it must
+  // carry the same file names as a single-directory run over that snapshot.
   const std::string net = network_dir();
-  std::string single;
-  std::string series;
-  const int single_rc =
-      run_tool_stdout("rdlint", "--format sarif " + net,
-                      (dir_ / "single.sarif").string(), &single);
-  const int series_rc =
-      run_tool_stdout("rdlint", "--format sarif " + net + " " + net,
-                      (dir_ / "series.sarif").string(), &series);
-  EXPECT_NE(single.find("\"uri\": \"config1\""), std::string::npos);
-  EXPECT_EQ(series, single);
-  EXPECT_EQ(series_rc, single_rc);
+  const struct {
+    const char* format;
+    const char* provenance;  // config1's file name, as the format writes it
+  } formats[] = {{"sarif", "\"uri\": \"config1\""},
+                 {"json", "\"file\": \"config1\""},
+                 {"text", "] config1:"}};
+  for (const auto& [format, provenance] : formats) {
+    std::string single;
+    std::string series;
+    const std::string flag = std::string("--format ") + format + " ";
+    const int single_rc =
+        run_tool_stdout("rdlint", flag + net,
+                        (dir_ / "single.out").string(), &single);
+    const int series_rc =
+        run_tool_stdout("rdlint", flag + net + " " + net,
+                        (dir_ / "series.out").string(), &series);
+    EXPECT_NE(single.find(provenance), std::string::npos) << format;
+    EXPECT_EQ(series, single) << format;
+    EXPECT_EQ(series_rc, single_rc) << format;
+  }
+}
+
+TEST_F(CliExitCodesTest, EmptyDirectoryExitsTwoAndNamesIt) {
+  // Every report CLI loads a directory the way rdd does, so a directory
+  // with no config files is the same error everywhere: exit 2, and the
+  // message names the directory.
+  const std::string empty = (dir_ / "empty-dir").string();
+  fs::create_directories(empty);
+  for (const char* tool : {"audit_network", "rdlint", "reachability_query",
+                           "simulate_convergence"}) {
+    std::string err;
+    EXPECT_EQ(run_tool_stderr(tool, empty, (dir_ / "empty-stderr").string(),
+                              &err),
+              2)
+        << tool;
+    EXPECT_NE(err.find("no configuration files in " + empty),
+              std::string::npos)
+        << tool << ": " << err;
+  }
 }
 
 TEST_F(CliExitCodesTest, DaemonAndClientUsageErrorsExitTwo) {

@@ -106,8 +106,9 @@ TEST(ParseDiagnostics, SerialParallelAndCachedPathsAgree) {
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
+    pipeline::ParseCache fresh;
     EXPECT_EQ(pipeline::network_signature(
-                  pipeline::build_network_parallel(texts, pool)),
+                  pipeline::build_network_cached(texts, {}, fresh, pool)),
               reference)
         << "parallel threads " << threads;
 
@@ -125,7 +126,8 @@ TEST(ParseDiagnostics, FleetReportCountsDiagnostics) {
   std::vector<pipeline::FleetInput> inputs;
   inputs.push_back({"dirty", {kOrphanSubModeConfig, kCleanConfig}});
   inputs.push_back({"clean", {kCleanConfig}});
-  const auto reports = pipeline::analyze_fleet_serial(inputs);
+  util::ThreadPool one(1);
+  const auto reports = pipeline::analyze_fleet_parallel(inputs, one);
   ASSERT_EQ(reports.size(), 2u);
   EXPECT_EQ(reports[0].parse_diagnostics, 1u);
   EXPECT_EQ(reports[1].parse_diagnostics, 0u);

@@ -190,11 +190,12 @@ TEST_F(ObsTest, CountersByteIdenticalAcrossThreadCounts) {
 TEST_F(ObsTest, MetricsSectionStableAcrossRunsAndEngines) {
   const auto texts = small_network_texts();
 
-  // Serial vs parallel, twice each: the report (metrics section included)
-  // must be byte-identical every time.
-  const auto serial = pipeline::analyze_fleet_serial({{"net", texts}});
+  // Serial (a one-thread pool) vs parallel: the report (metrics section
+  // included) must be byte-identical every time.
+  util::ThreadPool one(1);
+  const auto serial = pipeline::analyze_fleet_parallel({{"net", texts}}, one);
   ASSERT_EQ(serial.size(), 1u);
-  const auto again = pipeline::analyze_fleet_serial({{"net", texts}});
+  const auto again = pipeline::analyze_fleet_parallel({{"net", texts}}, one);
   EXPECT_EQ(serial[0].json, again[0].json);
   util::ThreadPool pool(4);
   const auto parallel = pipeline::analyze_fleet_parallel({{"net", texts}},
@@ -218,7 +219,7 @@ TEST_F(ObsTest, MetricsSectionStableAcrossRunsAndEngines) {
   // stays identical whether or not the global switches were ever flipped.
   disarm_and_reset();
   obs::Registry::instance().set_counting(true);
-  const auto counted = pipeline::analyze_fleet_serial({{"net", texts}});
+  const auto counted = pipeline::analyze_fleet_parallel({{"net", texts}}, one);
   EXPECT_EQ(serial[0].json, counted[0].json);
 }
 

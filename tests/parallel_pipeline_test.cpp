@@ -1,5 +1,5 @@
-// Differential serial-vs-parallel harness: the parallel pipeline must be
-// byte-identical to the serial reference at every thread count, for every
+// Differential serial-vs-parallel harness: the parallel (cached) build must
+// be byte-identical to the serial reference at every thread count, for every
 // synth archetype and several seeds. Identity is checked through three
 // serializations — the model signature JSON (pipeline::network_signature),
 // the re-emitted per-router configuration text, and the instance-graph DOT —
@@ -15,8 +15,11 @@
 #include "config/writer.h"
 #include "graph/dot.h"
 #include "graph/instances.h"
+#include "pipeline/parse_cache.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/series.h"
 #include "synth/archetypes.h"
+#include "util/thread_pool.h"
 
 namespace rd {
 namespace {
@@ -28,6 +31,14 @@ std::vector<std::string> texts_of(const synth::SynthNetwork& net) {
     texts.push_back(config::write_config(cfg));
   }
   return texts;
+}
+
+/// The parallel build: the cached path on `pool`, through a fresh cache so
+/// every text is parsed on the pool.
+model::Network build_parallel(const std::vector<std::string>& texts,
+                              util::ThreadPool& pool) {
+  pipeline::ParseCache cache;
+  return pipeline::build_network_cached(texts, {}, cache, pool);
 }
 
 /// Every serialization the differential check compares.
@@ -112,8 +123,7 @@ TEST_P(ParallelPipelineDifferential, MatchesSerialAcrossArchetypes) {
         net.name, pipeline::build_network_serial(texts));
     for (const auto threads : kThreadCounts) {
       util::ThreadPool pool(threads);
-      const auto parallel = output_of(
-          net.name, pipeline::build_network_parallel(texts, pool));
+      const auto parallel = output_of(net.name, build_parallel(texts, pool));
       const auto label = net.archetype + " seed " + std::to_string(seed) +
                          " threads " + std::to_string(threads);
       EXPECT_EQ(parallel.signature, serial.signature) << label;
@@ -134,8 +144,7 @@ TEST(ParallelPipeline, Net15CaseStudyMatchesSerial) {
       output_of(net15.name, pipeline::build_network_serial(texts));
   for (const auto threads : kThreadCounts) {
     util::ThreadPool pool(threads);
-    const auto parallel = output_of(
-        net15.name, pipeline::build_network_parallel(texts, pool));
+    const auto parallel = output_of(net15.name, build_parallel(texts, pool));
     EXPECT_EQ(parallel.signature, serial.signature) << threads;
     EXPECT_EQ(parallel.dot, serial.dot) << threads;
     EXPECT_EQ(parallel.report, serial.report) << threads;
@@ -147,7 +156,8 @@ TEST(ParallelPipeline, FleetReportsMergeInIndexOrder) {
   for (const auto& net : archetype_networks(11)) {
     inputs.push_back({net.name, texts_of(net)});
   }
-  const auto serial = pipeline::analyze_fleet_serial(inputs);
+  util::ThreadPool one(1);  // the serial loop (DESIGN.md §6)
+  const auto serial = pipeline::analyze_fleet_parallel(inputs, one);
   ASSERT_EQ(serial.size(), inputs.size());
   for (const auto threads : kThreadCounts) {
     util::ThreadPool pool(threads);
@@ -182,8 +192,7 @@ TEST(ParallelPipeline, SharedPoolAcrossCallsStaysDeterministic) {
   const auto baseline =
       pipeline::network_signature(pipeline::build_network_serial(texts));
   for (int round = 0; round < 5; ++round) {
-    EXPECT_EQ(pipeline::network_signature(
-                  pipeline::build_network_parallel(texts, pool)),
+    EXPECT_EQ(pipeline::network_signature(build_parallel(texts, pool)),
               baseline)
         << round;
   }
@@ -205,7 +214,7 @@ TEST(Stress, RepeatedParallelRunsOverManagedEnterpriseAreStable) {
       net.name, pipeline::build_network_serial(texts));
   util::ThreadPool pool(8);
   for (int iteration = 0; iteration < 50; ++iteration) {
-    const auto network = pipeline::build_network_parallel(texts, pool);
+    const auto network = build_parallel(texts, pool);
     ASSERT_EQ(pipeline::network_signature(network), baseline.signature)
         << "nondeterminism at iteration " << iteration;
     // The full analysis report is heavier; spot-check it periodically.
@@ -221,7 +230,8 @@ TEST(Stress, RepeatedParallelFleetRunsAreStable) {
   for (const auto& net : archetype_networks(21)) {
     inputs.push_back({net.name, texts_of(net)});
   }
-  const auto baseline = pipeline::analyze_fleet_serial(inputs);
+  util::ThreadPool one(1);
+  const auto baseline = pipeline::analyze_fleet_parallel(inputs, one);
   util::ThreadPool pool(8);
   for (int iteration = 0; iteration < 50; ++iteration) {
     const auto reports = pipeline::analyze_fleet_parallel(inputs, pool);

@@ -12,6 +12,7 @@
 
 #include "graph/instances.h"
 #include "model/network.h"
+#include "obs/obs.h"
 #include "sim/event_queue.h"
 #include "sim/sweep.h"
 #include "synth/archetypes.h"
@@ -178,6 +179,42 @@ TEST(SimSweep, EventLogsAndReportAreByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(report1, report8);
 }
 
+TEST(SimSweep, ReportLogsComeFromTheReportsOwnSweep) {
+  // With record_log the report carries one event-log section per scenario,
+  // and the logs cost no second sweep: sim.scenarios counts each scenario
+  // once.
+  sim::SweepOptions options;
+  options.record_log = true;
+  const auto scenarios = sim::flap_scenarios(demo_network(), demo_graph(), 0);
+  ASSERT_GT(scenarios.size(), 1u);
+  auto& registry = obs::Registry::instance();
+  const bool was_counting = obs::counting_enabled();
+  registry.set_counting(true);
+  const auto before = obs::counter("sim.scenarios").value();
+  util::ThreadPool pool(2);
+  const auto report =
+      sim::simulate_report(demo_network(), demo_graph(), options, pool);
+  const auto swept = obs::counter("sim.scenarios").value() - before;
+  registry.set_counting(was_counting);
+
+  EXPECT_EQ(swept, scenarios.size());
+  std::size_t sections = 0;
+  for (auto at = report.find("--- event log: "); at != std::string::npos;
+       at = report.find("--- event log: ", at + 1)) {
+    ++sections;
+  }
+  EXPECT_EQ(sections, scenarios.size());
+  for (const auto& scenario : scenarios) {
+    EXPECT_NE(report.find("\n--- event log: " + scenario.name + " ---\n"),
+              std::string::npos)
+        << scenario.name;
+  }
+  // Without record_log the report is the table alone.
+  EXPECT_EQ(sim::simulate_report(demo_network(), demo_graph(), {}, pool)
+                .find("--- event log: "),
+            std::string::npos);
+}
+
 TEST(SimSweep, EveryScenarioMatchesTheStaticFixpoint) {
   const auto results = sweep({}, 4);
   ASSERT_FALSE(results.empty());
@@ -230,7 +267,6 @@ TEST(SimSweep, DifferentSeedsProduceDifferentEventTimings) {
 TEST(SimSweep, UntilCapStopsTheRunEarly) {
   sim::SweepOptions options;
   options.until_ms = 60'000;  // before the t=240s failure injection
-  options.cross_check = false;
   const auto results = sweep(options, 1);
   for (const auto& result : results) {
     EXPECT_LE(result.end_ms, 60'000u) << result.name;

@@ -1,12 +1,15 @@
 // Differential harness for the incremental snapshot-series pipeline: the
 // warm, cached path (analyze_snapshot_series) must be byte-identical to the
-// cold cache-free serial reference (analyze_snapshot_series_serial) at every
-// thread count, across series that add, remove, and modify routers. Cache
-// accounting is checked at one thread, where scheduling is deterministic.
+// cold cache-free serial reference (analyze_snapshot_series_serial, defined
+// below) at every thread count, across series that add, remove, and modify
+// routers. Cache accounting is checked at one thread, where scheduling is
+// deterministic.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/evolution.h"
@@ -19,6 +22,29 @@
 
 namespace rd {
 namespace {
+
+/// Cold reference path: no cache, serial parse, every snapshot from
+/// scratch. The differential tests compare the incremental path against
+/// this byte-for-byte.
+pipeline::SeriesReport analyze_snapshot_series_serial(
+    const std::vector<pipeline::SnapshotInput>& series) {
+  pipeline::SeriesReport out;
+  out.snapshots.reserve(series.size());
+  if (series.size() > 1) out.diffs.reserve(series.size() - 1);
+
+  std::optional<model::Network> previous;
+  for (const auto& snapshot : series) {
+    model::Network network = pipeline::build_network_serial(snapshot.texts);
+    pipeline::SnapshotReport entry;
+    entry.report = pipeline::analyze_network(snapshot.name, network);
+    entry.signature = pipeline::network_signature(network);
+    entry.cache_misses = snapshot.texts.size();  // every parse is cold
+    out.snapshots.push_back(std::move(entry));
+    if (previous) out.diffs.push_back(analysis::diff_designs(*previous, network));
+    previous = std::move(network);
+  }
+  return out;
+}
 
 std::vector<std::string> texts_of(const synth::SynthNetwork& net) {
   std::vector<std::string> texts;
@@ -84,7 +110,7 @@ class SnapshotSeriesDifferential
 
 TEST_P(SnapshotSeriesDifferential, WarmPathMatchesColdAtEveryThreadCount) {
   const auto series = managed_series(GetParam());
-  const auto cold = pipeline::analyze_snapshot_series_serial(series);
+  const auto cold = analyze_snapshot_series_serial(series);
 
   ASSERT_EQ(cold.snapshots.size(), 3u);
   ASSERT_EQ(cold.diffs.size(), 2u);
@@ -102,7 +128,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotSeriesDifferential,
 
 TEST(SnapshotSeries, DiffChainReportsTheChurn) {
   const auto series = managed_series(7);
-  const auto report = pipeline::analyze_snapshot_series_serial(series);
+  const auto report = analyze_snapshot_series_serial(series);
   ASSERT_EQ(report.diffs.size(), 2u);
 
   // t0 -> t1: modifications only.
@@ -119,7 +145,7 @@ TEST(SnapshotSeries, DiffChainReportsTheChurn) {
 
 TEST(SnapshotSeries, SeriesDiffsMatchDiffDesignChain) {
   const auto series = managed_series(42);
-  const auto report = pipeline::analyze_snapshot_series_serial(series);
+  const auto report = analyze_snapshot_series_serial(series);
 
   std::vector<model::Network> snapshots;
   snapshots.reserve(series.size());
