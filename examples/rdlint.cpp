@@ -187,16 +187,16 @@ static int run(int argc, char** argv) {
     // only holds memory.
     if (s + 1 == snapshots) cache.clear();
     result = engine.run(*fleet.context, pool);
-    name = fleet.report_name;
     if (s > 0) {
       const auto delta =
           analysis::diff_against_baseline(result.findings, previous);
       std::fprintf(stderr,
                    "snapshot %s -> %s: %zu new, %zu fixed, %zu unchanged\n",
-                   dirs[s - 1].filename().string().c_str(), name.c_str(),
+                   name.c_str(), fleet.report_name.c_str(),
                    delta.new_findings.size(), delta.fixed.size(),
                    delta.unchanged.size());
     }
+    name = fleet.report_name;
     previous.clear();
     for (const auto& f : result.findings) {
       previous.push_back(analysis::finding_fingerprint(f));

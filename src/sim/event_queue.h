@@ -81,10 +81,11 @@ class EventQueue {
 /// Hashed timer wheel for the per-route invalidation and garbage-collect
 /// deadlines (DESIGN.md §15). Refreshing a timer is the hot operation —
 /// every periodic advertisement refreshes every delivered route — so a
-/// refresh only rewrites the entry's own deadline and generation; the
-/// wheel node stays where it was and is lazily revalidated when its slot
-/// comes due: stale generation → dropped, deadline moved forward →
-/// reinserted at the new slot. Each live timer keeps exactly one node.
+/// refresh only moves the deadline the entry's node is checked against
+/// (in the simulator, through the entry's refresh epoch); the wheel node
+/// stays where it was and is lazily revalidated when its slot comes due:
+/// stale generation → dropped, deadline moved forward → reinserted at the
+/// new slot. Each live timer keeps exactly one node.
 class TimerWheel {
  public:
   struct Node {

@@ -40,8 +40,9 @@ constexpr SimTime kLinkDelayMaxMs = 50;
 
 constexpr std::uint16_t kNoMetric = 0xFFFF;
 constexpr std::int32_t kViaLocal = -1;   // Entry::via_edge: locally sourced
-constexpr std::int64_t kMapDeny = -1;    // SimEdge::map: chain denies
-constexpr std::int64_t kMapUnknown = -2; // SimEdge::map: not yet evaluated
+constexpr std::int32_t kMapDeny = -1;    // MapCell::target: chain denies
+constexpr std::int32_t kMapUnknown = -2; // MapCell::target: not yet evaluated
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
 /// One RIB slot: the state of (instance, domain position). The generation
 /// counter ties the entry to its timer-wheel node — bumping it on every
@@ -53,8 +54,11 @@ struct Entry {
   std::int32_t via_edge = kViaLocal;  // edge the route was learned over
   std::uint32_t src_pos = 0;  // sender-side domain position (loop walks)
   std::uint32_t gen = 0;
-  SimTime deadline_ms = 0;  // expiry (valid) / gc (invalid) deadline
-  SimTime lost_at_ms = 0;   // when the last valid entry disappeared
+  /// A learned entry's refresh epoch: that of the delivery that last
+  /// installed or refreshed it. It expires 180 s after the epoch's last
+  /// refresh, which a repeat of that delivery moves (Run::deadline).
+  std::uint32_t epoch = 0;
+  SimTime lost_at_ms = 0;  // when the last valid entry disappeared
 };
 
 /// Per-instance RIB: entries stored densely in first-touch order with an
@@ -64,36 +68,47 @@ struct Entry {
 /// storage costs only what each instance actually holds. at() references
 /// are invalidated by later at() calls (the entry table grows), exactly
 /// like vector references; no caller below holds one across an insert.
+/// Slots never move and are never freed, so a slot index, unlike a
+/// reference, stays valid for the whole run.
 class InstanceRib {
  public:
-  Entry& at(std::uint32_t pos) {
+  /// The slot of `pos`, inserted (absent) on first touch.
+  std::uint32_t slot(std::uint32_t pos) {
     if (keys_.empty()) grow(16);
     const std::size_t mask = keys_.size() - 1;
     std::size_t i = hash32(pos) & mask;
     while (keys_[i] != 0) {
-      if (keys_[i] == pos + 1) return entries_[slots_[i]];
+      if (keys_[i] == pos + 1) return slots_[i];
       i = (i + 1) & mask;
     }
     if ((entries_.size() + 1) * 4 > keys_.size() * 3) {
       grow(keys_.size() * 2);
-      return at(pos);
+      return slot(pos);
     }
     keys_[i] = pos + 1;
     slots_[i] = static_cast<std::uint32_t>(entries_.size());
     pos_of_.push_back(pos);
     entries_.emplace_back();
-    return entries_.back();
+    return slots_[i];
   }
 
-  Entry* find(std::uint32_t pos) {
-    if (keys_.empty()) return nullptr;
+  /// The slot of `pos`, or kNoSlot when the instance never touched it.
+  std::uint32_t find_slot(std::uint32_t pos) const {
+    if (keys_.empty()) return kNoSlot;
     const std::size_t mask = keys_.size() - 1;
     std::size_t i = hash32(pos) & mask;
     while (keys_[i] != 0) {
-      if (keys_[i] == pos + 1) return &entries_[slots_[i]];
+      if (keys_[i] == pos + 1) return slots_[i];
       i = (i + 1) & mask;
     }
-    return nullptr;
+    return kNoSlot;
+  }
+
+  Entry& at(std::uint32_t pos) { return entries_[slot(pos)]; }
+
+  Entry* find(std::uint32_t pos) {
+    const std::uint32_t found = find_slot(pos);
+    return found == kNoSlot ? nullptr : &entries_[found];
   }
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -127,10 +142,21 @@ class InstanceRib {
   std::vector<std::uint32_t> pos_of_;  // slot -> pos
 };
 
+/// What one sender-side position becomes at an edge's receiver: the
+/// translated position (or kMapDeny / kMapUnknown) and the receiver RIB's
+/// slot for it, kNoSlot until the receiver has touched that position.
+/// Neither can go stale: translations never change and slots never move.
+struct MapCell {
+  std::int32_t target = kMapUnknown;
+  std::uint32_t slot = kNoSlot;
+};
+
+using Snapshot = std::shared_ptr<const std::vector<AdvEntry>>;
+
 /// A directed propagation edge with its policy chain compiled and a
-/// per-source-position verdict cache (`map`): what a sender-side position
-/// becomes on the receiver side, or kMapDeny. Redistribution rewrites
-/// intern into the shared domain exactly like the static engine.
+/// per-source-position cache (`map`) of translations and receiver slots.
+/// Redistribution rewrites intern into the shared domain exactly like the
+/// static engine.
 struct SimEdge {
   bool is_flow = true;
   std::uint32_t from = 0;
@@ -143,7 +169,14 @@ struct SimEdge {
   CompiledStanzaDir outbound;
   SimTime delay_ms = 0;
   bool up = true;
-  std::vector<std::int64_t> map;  // source pos -> target pos / deny
+  std::vector<MapCell> map;  // indexed by sender-side position
+  // The last delivery applied entry by entry (DESIGN.md §15): its
+  // snapshot, the receiver's version after it, whether it left that
+  // version unchanged, and the refresh epoch it opened.
+  Snapshot applied;
+  std::uint64_t applied_version = 0;
+  bool applied_clean = false;
+  std::uint32_t epoch = 0;
 };
 
 /// A seed or aggregate summary: a single route present in an instance
@@ -176,6 +209,13 @@ struct AggregateState {
   std::size_t contributors = 0;
 };
 
+/// An instance's last advertisement: the snapshot and the RIB version it
+/// was taken at. advertise() sends it again while the version is current.
+struct Advertised {
+  Snapshot snapshot;
+  std::uint64_t version = 0;
+};
+
 class Run {
  public:
   Run(const Problem& baseline, const Scenario& scenario,
@@ -197,7 +237,10 @@ class Run {
       index_.insert(analysis::prop::route_key(domain_[u]),
                     static_cast<std::uint32_t>(u));
     }
+    epoch_refreshed_.push_back(0);  // epoch 0: no delivery, never read
     ribs_.resize(n);
+    versions_.assign(n, 0);
+    advertised_.resize(n);
     out_edges_.resize(n);
     groups_by_instance_.resize(n);
     triggered_pending_.assign(n, 0);
@@ -388,6 +431,7 @@ class Run {
 
   void changed(std::uint32_t instance, std::uint32_t pos, SimTime t,
                const char* how) {
+    ++versions_[instance];
     last_change_ = t;
     ++result_.route_changes;
     if (fail_done_ && !recover_done_) {
@@ -416,11 +460,9 @@ class Run {
       entry.via_edge = via;
       entry.src_pos = src_pos;
       ++entry.gen;
-      if (via >= 0) {
-        entry.deadline_ms = t + kInvalidAfterMs;
-        wheel_.insert(entry.deadline_ms, {instance, pos, entry.gen});
-      } else {
-        entry.deadline_ms = 0;  // local entries never expire
+      if (via >= 0) {  // local entries never expire
+        entry.epoch = edges_[via].epoch;
+        wheel_.insert(t + kInvalidAfterMs, {instance, pos, entry.gen});
       }
       if (closes_window) {
         const SimTime window = t - entry.lost_at_ms;
@@ -441,8 +483,7 @@ class Run {
       entry.state = 2;
       entry.metric = infinity_;
       ++entry.gen;
-      entry.deadline_ms = t + kGcAfterMs;
-      wheel_.insert(entry.deadline_ms, {instance, pos, entry.gen});
+      wheel_.insert(t + kGcAfterMs, {instance, pos, entry.gen});
       entry.had_valid = 1;
       entry.lost_at_ms = t;
     }
@@ -458,7 +499,8 @@ class Run {
     // Garbage collection drops the entry from advertisements, but an
     // absent route and an infinity route install identically at every
     // receiver, so this is not a route change and does not reset the
-    // quiescence clock.
+    // quiescence clock. The advertisement does change: a new version.
+    ++versions_[instance];
     log_line(t, instance, pos, "gc", entry);
   }
 
@@ -559,26 +601,33 @@ class Run {
     queue_.push(std::move(event));
   }
 
+  /// Sends the instance's table over every live out-edge. The snapshot is
+  /// rebuilt only when the RIB's version moved since the last one, so an
+  /// unchanged table goes out as the same object — what lets deliver()
+  /// recognize a repeat.
   void advertise(std::uint32_t instance, SimTime t) {
-    auto payload = std::make_shared<std::vector<AdvEntry>>();
-    InstanceRib& rib = ribs_[instance];
-    payload->reserve(rib.size());
-    for (std::size_t slot = 0; slot < rib.size(); ++slot) {
-      const Entry& entry = rib.entry(slot);
-      if (entry.state == 1) {
-        payload->push_back(
-            {rib.pos(slot), entry.metric,
-             entry.via_edge >= 0 ? edges_[entry.via_edge].from
-                                 : AdvEntry::kLocalVia});
-      } else if (entry.state == 2) {
-        // Holddown entries advertise at infinity toward everyone; the via
-        // no longer matters (poisoning cannot make it worse).
-        payload->push_back({rib.pos(slot), infinity_, AdvEntry::kLocalVia});
+    Advertised& last = advertised_[instance];
+    if (!last.snapshot || last.version != versions_[instance]) {
+      auto payload = std::make_shared<std::vector<AdvEntry>>();
+      InstanceRib& rib = ribs_[instance];
+      payload->reserve(rib.size());
+      for (std::size_t slot = 0; slot < rib.size(); ++slot) {
+        const Entry& entry = rib.entry(slot);
+        if (entry.state == 1) {
+          payload->push_back(
+              {rib.pos(slot), entry.metric,
+               entry.via_edge >= 0 ? edges_[entry.via_edge].from
+                                   : AdvEntry::kLocalVia});
+        } else if (entry.state == 2) {
+          // Holddown entries advertise at infinity toward everyone; the
+          // via no longer matters (poisoning cannot make it worse).
+          payload->push_back({rib.pos(slot), infinity_, AdvEntry::kLocalVia});
+        }
       }
+      last.snapshot = std::move(payload);
+      last.version = versions_[instance];
     }
-    if (payload->empty()) return;
-    const std::shared_ptr<const std::vector<AdvEntry>> shared =
-        std::move(payload);
+    if (last.snapshot->empty()) return;
     for (const std::uint32_t edge_index : out_edges_[instance]) {
       const SimEdge& edge = edges_[edge_index];
       if (!edge.up) continue;
@@ -586,20 +635,22 @@ class Run {
       event.at_ms = t + edge.delay_ms;
       event.kind = Event::Kind::kDeliver;
       event.edge = edge_index;
-      event.payload = shared;
+      event.payload = last.snapshot;
       queue_.push(std::move(event));
     }
   }
 
-  std::int64_t map_pos(SimEdge& edge, std::uint32_t pos) {
-    if (edge.map.size() <= pos) edge.map.resize(domain_.size(), kMapUnknown);
-    std::int64_t verdict = edge.map[pos];
-    if (verdict != kMapUnknown) return verdict;
+  /// The edge's cell for sender-side position `pos`, its translation
+  /// evaluated on first use.
+  MapCell& map_cell(SimEdge& edge, std::uint32_t pos) {
+    if (edge.map.size() <= pos) edge.map.resize(domain_.size());
+    MapCell& cell = edge.map[pos];
+    if (cell.target != kMapUnknown) return cell;
     if (edge.is_flow) {
-      verdict = edge.sender_out.permits(domain_[pos]) &&
-                        edge.receiver_in.permits(domain_[pos])
-                    ? static_cast<std::int64_t>(pos)
-                    : kMapDeny;
+      cell.target = edge.sender_out.permits(domain_[pos]) &&
+                            edge.receiver_in.permits(domain_[pos])
+                        ? static_cast<std::int32_t>(pos)
+                        : kMapDeny;
     } else {
       Route forwarded = domain_[pos];  // copy: intern may grow the domain
       bool permitted = true;
@@ -609,25 +660,30 @@ class Run {
         if (permitted) forwarded = result.route;
       }
       permitted = permitted && edge.outbound.permits(forwarded);
-      verdict = permitted ? static_cast<std::int64_t>(intern(forwarded))
-                          : kMapDeny;
+      cell.target = permitted ? static_cast<std::int32_t>(intern(forwarded))
+                              : kMapDeny;
     }
-    edge.map[pos] = verdict;
-    return verdict;
+    return cell;
   }
 
-  void apply_update(std::uint32_t edge_index, std::uint32_t pos,
+  void apply_update(std::uint32_t edge_index, MapCell& cell,
                     std::uint16_t metric, std::uint32_t src_pos, SimTime t) {
     const SimEdge& edge = edges_[edge_index];
+    const auto pos = static_cast<std::uint32_t>(cell.target);
+    InstanceRib& rib = ribs_[edge.to];
     if (metric >= infinity_) {
-      Entry* entry = ribs_[edge.to].find(pos);  // never materialize on poison
-      if (entry != nullptr && entry->state == 1 &&
-          entry->via_edge == static_cast<std::int32_t>(edge_index)) {
+      // Never materialize on poison.
+      if (cell.slot == kNoSlot) cell.slot = rib.find_slot(pos);
+      if (cell.slot == kNoSlot) return;
+      const Entry& entry = rib.entry(cell.slot);
+      if (entry.state == 1 &&
+          entry.via_edge == static_cast<std::int32_t>(edge_index)) {
         make_invalid(edge.to, pos, t, "poisoned");
       }
       return;
     }
-    Entry& entry = ribs_[edge.to].at(pos);
+    if (cell.slot == kNoSlot) cell.slot = rib.slot(pos);
+    Entry& entry = rib.entry(cell.slot);
     if (entry.state == 1) {
       if (entry.via_edge == static_cast<std::int32_t>(edge_index)) {
         // Current next hop: refresh the expiry. From the SAME sender-side
@@ -638,7 +694,7 @@ class Run {
         // only wins by strict improvement; otherwise the two positions'
         // metrics couple as a = b + 1, b = a + 1 and climb forever even
         // with every real source intact.
-        entry.deadline_ms = t + kInvalidAfterMs;
+        entry.epoch = edge.epoch;
         if (entry.src_pos == src_pos) {
           if (entry.metric != metric) {
             entry.metric = metric;
@@ -666,6 +722,20 @@ class Run {
     SimEdge& edge = edges_[event.edge];
     if (!edge.up) return;  // sent before the link died: lost in flight
     ++result_.updates_delivered;
+    if (event.payload == edge.applied && edge.applied_clean &&
+        versions_[edge.to] == edge.applied_version) {
+      // A repeat: the snapshot this edge last applied, to a receiver that
+      // has not changed since, and that application changed nothing. Its
+      // entries would meet the same RIB state and take the same branches,
+      // so all they would do is refresh, once more, the expiry of the
+      // entries it refreshed — which is what moving its epoch does.
+      epoch_refreshed_[edge.epoch] = t;
+      ++result_.repeat_deliveries;
+      return;
+    }
+    edge.epoch = static_cast<std::uint32_t>(epoch_refreshed_.size());
+    epoch_refreshed_.push_back(t);
+    const std::uint64_t before = versions_[edge.to];
     for (const AdvEntry& adv : *event.payload) {
       std::uint32_t metric = adv.metric;
       // Poisoned reverse applies to flows only. A flow reflection can
@@ -675,14 +745,23 @@ class Run {
       // mutual redistribution deliberately hands routes (rewritten or
       // not) back to the instance they came from.
       if (edge.is_flow && adv.via_instance == edge.to) metric = infinity_;
-      const std::int64_t mapped = map_pos(edge, adv.pos);
-      if (mapped < 0) continue;
-      apply_update(event.edge,
-                   static_cast<std::uint32_t>(mapped),
+      MapCell& cell = map_cell(edge, adv.pos);
+      if (cell.target < 0) continue;
+      apply_update(event.edge, cell,
                    static_cast<std::uint16_t>(
                        std::min<std::uint32_t>(metric + 1, infinity_)),
                    adv.pos, t);
     }
+    edge.applied = event.payload;
+    edge.applied_version = versions_[edge.to];
+    edge.applied_clean = edge.applied_version == before;
+  }
+
+  /// When a learned valid entry expires (180 s after its epoch's last
+  /// refresh) or a holddown entry is freed (120 s after it was lost).
+  SimTime deadline(const Entry& entry) const {
+    return entry.state == 1 ? epoch_refreshed_[entry.epoch] + kInvalidAfterMs
+                            : entry.lost_at_ms + kGcAfterMs;
   }
 
   /// (instance, pos) pairs whose local derivations involve a scenario
@@ -833,6 +912,12 @@ class Run {
   DomainIndex index_;
   std::uint32_t offer_count_ = 0;
   std::vector<InstanceRib> ribs_;
+  /// Per instance: bumped by every RIB change an advertisement shows.
+  std::vector<std::uint64_t> versions_;
+  std::vector<Advertised> advertised_;
+  /// Per refresh epoch (one per delivery applied entry by entry): the
+  /// time of its last refresh, moved by each repeat.
+  std::vector<SimTime> epoch_refreshed_;
   std::vector<SimEdge> edges_;
   std::vector<std::vector<std::uint32_t>> out_edges_;
   std::vector<PointSource> point_sources_;
@@ -910,12 +995,15 @@ ScenarioResult Run::run() {
     if (entry == nullptr || entry->gen != node.gen || entry->state == 0) {
       return;  // orphaned node
     }
-    if (entry->deadline_ms > granule_end) {  // refreshed: repost and wait
-      wheel_.insert(entry->deadline_ms, node);
+    if (entry->state == 1 && entry->via_edge == kViaLocal) {
+      return;  // locals never expire
+    }
+    const SimTime due = deadline(*entry);
+    if (due > granule_end) {  // refreshed: repost and wait
+      wheel_.insert(due, node);
       return;
     }
     if (entry->state == 1) {
-      if (entry->via_edge == kViaLocal) return;  // locals never expire
       make_invalid(node.instance, node.pos, granule_end, "expired");
     } else {
       make_absent(node.instance, node.pos, granule_end);
@@ -1020,12 +1108,16 @@ ScenarioResult Run::run() {
   if (span.armed()) {
     span.arg("events", result_.events_processed);
     span.arg("changes", result_.route_changes);
+    span.arg("deliveries", result_.updates_delivered);
+    span.arg("repeat_deliveries", result_.repeat_deliveries);
     span.arg("end_ms", result_.end_ms);
   }
   if (obs::counting_enabled()) {
     obs::counter("sim.scenarios").add();
     obs::counter("sim.events").add(result_.events_processed);
     obs::counter("sim.route_changes").add(result_.route_changes);
+    obs::counter("sim.deliveries").add(result_.updates_delivered);
+    obs::counter("sim.repeat_deliveries").add(result_.repeat_deliveries);
     obs::counter("sim.microloops").add(result_.microloops);
     obs::counter("sim.blackhole_windows").add(result_.blackhole_windows);
   }

@@ -60,6 +60,9 @@ struct ScenarioResult {
   SimTime settle_after_recover_ms = 0;
   std::size_t events_processed = 0;
   std::size_t updates_delivered = 0;  // advertisement deliveries processed
+  /// Deliveries answered as repeats: the snapshot the edge last applied,
+  /// to an unchanged receiver, after an application that changed nothing.
+  std::size_t repeat_deliveries = 0;
   std::size_t route_changes = 0;
   /// Route changes that left the instance-graph next-hop chain for the
   /// changed route cyclic — a transient forwarding micro-loop.

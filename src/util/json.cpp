@@ -70,14 +70,17 @@ void Json::write_string(std::string& out, const std::string& s) {
 }
 
 void Json::write(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent < 0 ? "" : "\n" + std::string(static_cast<std::size_t>(indent) *
-                                               (depth + 1),
-                                           ' ');
-  const std::string close_pad =
-      indent < 0
-          ? ""
-          : "\n" + std::string(static_cast<std::size_t>(indent) * depth, ' ');
+  // Built with append, not `"\n" + std::string(...)`: GCC 12 reports a
+  // false -Wrestrict on that operator+ at -O3.
+  std::string close_pad;
+  std::string pad;
+  if (indent >= 0) {
+    const auto width = static_cast<std::size_t>(indent);
+    close_pad.append(1, '\n').append(width * static_cast<std::size_t>(depth),
+                                     ' ');
+    pad = close_pad;
+    pad.append(width, ' ');
+  }
 
   if (std::holds_alternative<std::nullptr_t>(value_)) {
     out += "null";

@@ -199,6 +199,19 @@ TEST_F(CliExitCodesTest, RdlintSeriesKeepsFileProvenance) {
   }
 }
 
+TEST_F(CliExitCodesTest, RdlintSeriesLabelsTrailingSlashDirectories) {
+  // Each transition names its snapshots as the reports do (serve::
+  // load_fleet): the directory's basename, or the whole path when a
+  // trailing slash leaves the basename empty, never a blank label.
+  const std::string net = network_dir() + "/";
+  std::string err;
+  run_tool_stderr("rdlint", net + " " + net,
+                  (dir_ / "series-stderr").string(), &err);
+  EXPECT_NE(err.find("snapshot " + net + " -> " + net + ": "),
+            std::string::npos)
+      << err;
+}
+
 TEST_F(CliExitCodesTest, EmptyDirectoryExitsTwoAndNamesIt) {
   // Every report CLI loads a directory the way rdd does, so a directory
   // with no config files is the same error everywhere: exit 2, and the

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "config/writer.h"
 #include "graph/instances.h"
@@ -320,7 +322,11 @@ TEST(Emit, LoadOrdersNumerically) {
   std::filesystem::remove_all(dir);
   std::vector<config::RouterConfig> configs(11);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    configs[i].hostname = "r" + std::to_string(i);
+    // Built, then moved: GCC 12 at -O3 reports a false -Wrestrict on
+    // `"r" + std::to_string(i)`, and on assigning "r" to the member.
+    std::string hostname("r");
+    hostname += std::to_string(i);
+    configs[i].hostname = std::move(hostname);
   }
   emit_network(configs, dir);
   const auto loaded = load_network(dir);
