@@ -127,8 +127,10 @@ void BM_Fixpoint_SemiNaive(benchmark::State& state) {
 BENCHMARK(BM_Fixpoint_SemiNaive)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// The §8.1 what-if sweep: one degraded-network fixpoint per single-failure
-// scenario, fanned out on the thread pool (results identical at any thread
+// The §8.1 what-if sweep: one counted fixpoint per single-failure scenario,
+// each on the scenario's failure Problem (the intact network's Problem with
+// the survivors re-closed and the failed router masked; no network is
+// rebuilt), fanned out on the thread pool (results identical at any thread
 // count — the differential suite checks). Arg = thread count.
 void BM_WhatIfSweep(benchmark::State& state) {
   const Workload& w = workload(1);

@@ -13,23 +13,6 @@ namespace rd::analysis {
 
 namespace {
 
-/// The Problem `run` and `summarize` both evaluate: the external offer
-/// universe (prop::external_universe: default route + policy-mentioned
-/// prefixes + `options.external_prefixes`, internal subnets excluded,
-/// sorted and deduplicated), discovered under the options' iteration guard
-/// and active endpoints.
-prop::Problem problem_for(const model::Network& network,
-                          const graph::InstanceSet& instances,
-                          const ReachabilityAnalysis::Options& options) {
-  prop::DiscoverOptions discover_options;
-  discover_options.max_iterations = options.max_iterations;
-  discover_options.active_external_endpoints =
-      options.active_external_endpoints;
-  return prop::discover(
-      network, instances, discover_options,
-      prop::external_universe(network, options.external_prefixes));
-}
-
 /// Logical-event counters: identical totals at every thread count (the
 /// fixpoint is confluent), so they belong in the deterministic counter
 /// set. Added once per run, not per route.
@@ -43,6 +26,16 @@ void count_run(std::size_t iterations, std::size_t routes,
 
 }  // namespace
 
+prop::Problem ReachabilityAnalysis::problem(
+    const model::Network& network, const graph::InstanceSet& instances,
+    const Options& options, const std::vector<ip::Prefix>& universe) {
+  prop::DiscoverOptions discover_options;
+  discover_options.max_iterations = options.max_iterations;
+  discover_options.active_external_endpoints =
+      options.active_external_endpoints;
+  return prop::discover(network, instances, discover_options, universe);
+}
+
 ReachabilityAnalysis ReachabilityAnalysis::run(
     const model::Network& network, const graph::InstanceSet& instances,
     const Options& options) {
@@ -51,7 +44,9 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
   ReachabilityAnalysis analysis;
   const std::size_t n = instances.instances.size();
 
-  const prop::Problem problem = problem_for(network, instances, options);
+  const prop::Problem problem = ReachabilityAnalysis::problem(
+      network, instances, options,
+      prop::external_universe(network, options.external_prefixes));
   analysis.external_origin_.reserve(problem.universe.size());
   for (const auto& offer : problem.universe) {
     analysis.external_origin_.push_back(offer.prefix);
@@ -87,12 +82,10 @@ ReachabilityAnalysis ReachabilityAnalysis::run(
 }
 
 ReachabilityAnalysis::Summary ReachabilityAnalysis::summarize(
-    const model::Network& network, const graph::InstanceSet& instances,
-    const Options& options) {
+    const prop::Problem& problem) {
   obs::Span run_span("reachability.run", "reachability");
-  run_span.arg("instances", instances.instances.size());
-  const prop::Propagation fixpoint =
-      prop::propagate(problem_for(network, instances, options), {});
+  run_span.arg("instances", problem.instance_count);
+  const prop::Propagation fixpoint = prop::propagate(problem, {});
 
   // `run` notes a default when an instance's sorted routes start with a
   // /0, tagged or not: here, when any /0 position's bit is set.

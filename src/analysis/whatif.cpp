@@ -4,80 +4,43 @@
 #include <map>
 #include <optional>
 #include <set>
-#include <utility>
 
 #include "analysis/vulnerability.h"
 #include "obs/obs.h"
 
 namespace rd::analysis {
 
-model::Network without_routers(const model::Network& network,
-                               const std::vector<model::RouterId>& failed) {
-  const std::set<model::RouterId> gone(failed.begin(), failed.end());
-  std::vector<config::RouterConfig> configs;
-  configs.reserve(network.router_count() - gone.size());
-  for (model::RouterId r = 0; r < network.router_count(); ++r) {
-    if (!gone.contains(r)) configs.push_back(network.routers()[r]);
-  }
-  return model::Network::build(std::move(configs));
-}
-
 namespace {
 
-/// The structural impact of `failed` on `network`, given the degraded
-/// network `after` (without_routers) closed into `instances_after`, and the
-/// baseline's redistribution redundancy.
-FailureImpact structural_impact(
-    const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<model::RouterId>& failed, const model::Network& after,
-    const graph::InstanceSet& instances_after,
-    const std::vector<InstancePairRedundancy>& redundancy) {
+/// The structural impact of `failed` (sorted ascending), read off `after`:
+/// the re-closure `graph::compute_instances(network, failed)`, over the
+/// same process ids as `baseline`. Each failed process is an instance of
+/// its own there and is not counted.
+FailureImpact structural_impact(const model::Network& network,
+                                const graph::InstanceSet& baseline,
+                                const std::vector<model::RouterId>& failed,
+                                const graph::InstanceSet& after) {
+  auto down = [&](model::ProcessId p) {
+    return std::binary_search(failed.begin(), failed.end(),
+                              network.processes()[p].router);
+  };
   FailureImpact impact;
-  impact.failed = failed;
   impact.instances_before = baseline.instances.size();
-
-  const std::set<model::RouterId> gone(failed.begin(), failed.end());
-
-  // Survivor router id mapping: old id -> new id.
-  std::vector<std::int64_t> new_router(network.router_count(), -1);
-  std::int64_t next = 0;
-  for (model::RouterId r = 0; r < network.router_count(); ++r) {
-    if (!gone.contains(r)) new_router[r] = next++;
-  }
-
-  impact.instances_after = instances_after.instances.size();
-
-  // Map each surviving baseline process to its new instance via the
-  // (router, stanza) identity, and count how many new instances each
-  // baseline instance's survivors landed in.
-  std::map<std::pair<model::RouterId, std::uint32_t>, model::ProcessId>
-      new_process;
-  for (model::ProcessId p = 0; p < after.processes().size(); ++p) {
-    const auto& process = after.processes()[p];
-    new_process[{process.router, process.stanza_index}] = p;
+  impact.instances_after = after.instances.size();
+  for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
+    if (down(p)) --impact.instances_after;
   }
   for (std::uint32_t i = 0; i < baseline.instances.size(); ++i) {
-    std::set<std::uint32_t> landed_in;
+    std::optional<std::uint32_t> landed_in;
     for (const model::ProcessId p : baseline.instances[i].processes) {
-      const auto& process = network.processes()[p];
-      if (gone.contains(process.router)) continue;
-      const auto it = new_process.find(
-          {static_cast<model::RouterId>(new_router[process.router]),
-           process.stanza_index});
-      if (it != new_process.end()) {
-        landed_in.insert(instances_after.instance_of[it->second]);
+      if (down(p)) continue;
+      if (!landed_in) {
+        landed_in = after.instance_of[p];
+      } else if (*landed_in != after.instance_of[p]) {
+        impact.fragmented_instances.push_back(i);
+        break;
       }
     }
-    if (landed_in.size() > 1) impact.fragmented_instances.push_back(i);
-  }
-
-  // Severed pairs: every route-exchange router of the pair failed.
-  for (const auto& entry : redundancy) {
-    const bool all_gone =
-        std::all_of(entry.connecting_routers.begin(),
-                    entry.connecting_routers.end(),
-                    [&](model::RouterId r) { return gone.contains(r); });
-    if (all_gone) ++impact.severed_instance_pairs;
   }
   return impact;
 }
@@ -138,15 +101,6 @@ std::vector<model::RouterId> articulation_points(
 }
 
 }  // namespace
-
-FailureImpact simulate_router_failure(
-    const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<model::RouterId>& failed) {
-  const auto after = without_routers(network, failed);
-  return structural_impact(
-      network, baseline, failed, after, graph::compute_instances(after),
-      redistribution_redundancy(network, graph::InstanceGraph::build(network)));
-}
 
 std::vector<ArticulationRouter> instance_articulation_routers(
     const model::Network& network, const graph::InstanceSet& instances) {
@@ -226,29 +180,31 @@ std::vector<ScenarioImpact> sweep_failure_scenarios(
     const std::vector<FailureScenario>& scenarios,
     const ReachabilityAnalysis::Options& reach_options,
     util::ThreadPool& pool) {
-  // Each scenario is an independent fixpoint on its own degraded network
-  // model, built once and shared by the structural and reachability
-  // halves; parallel_map puts result i in slot i, so the sweep's output is
-  // identical at any thread count. The fixpoint is only counted, never
-  // materialized into route vectors: the impact reads four figures of it.
+  // Each scenario is an independent fixpoint on its own failure Problem,
+  // whose partition the structural half reads too; parallel_map puts result
+  // i in slot i, so the sweep's output is identical at any thread count.
+  // The fixpoint is only counted, never materialized into route vectors:
+  // the impact reads four figures of it.
   obs::counter("sweep.scenarios").add(scenarios.size());
-  const auto redundancy =
-      redistribution_redundancy(network, graph::InstanceGraph::build(network));
+  const auto universe =
+      prop::external_universe(network, reach_options.external_prefixes);
   return util::parallel_map(pool, scenarios, [&](const FailureScenario& s) {
     obs::Span span("sweep.scenario", "reachability");
     span.label(s.name);
     ScenarioImpact impact;
     impact.scenario = s;
-    std::optional<obs::Span> rebuild;
-    rebuild.emplace("sweep.rebuild", "reachability");
-    const auto degraded = without_routers(network, s.failed);
-    const auto degraded_instances = graph::compute_instances(degraded);
-    impact.structural = structural_impact(network, baseline, s.failed,
-                                          degraded, degraded_instances,
-                                          redundancy);
-    rebuild.reset();
-    const auto reach = ReachabilityAnalysis::summarize(
-        degraded, degraded_instances, reach_options);
+    auto failed = s.failed;  // the re-closure and the mask need them sorted
+    std::sort(failed.begin(), failed.end());
+    const auto problem = [&] {
+      obs::Span step("sweep.failure_problem", "reachability");
+      const auto partition = graph::compute_instances(network, failed);
+      impact.structural =
+          structural_impact(network, baseline, failed, partition);
+      return prop::masked(ReachabilityAnalysis::problem(
+                              network, partition, reach_options, universe),
+                          failed);
+    }();
+    const auto reach = ReachabilityAnalysis::summarize(problem);
     impact.instances_reaching_internet = reach.instances_reaching_internet;
     impact.total_routes = reach.total_routes;
     impact.announced_externally = reach.announced;

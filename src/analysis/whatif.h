@@ -16,31 +16,15 @@ namespace rd::analysis {
 /// "uncover scenarios where a single link or session failure would
 /// disconnect part of the network".
 
-/// Rebuild the network model with some routers' configurations removed —
-/// the model-level equivalent of those routers failing (their interfaces,
-/// processes, sessions, and redistribution points all disappear).
-model::Network without_routers(const model::Network& network,
-                               const std::vector<model::RouterId>& failed);
-
-/// Impact summary of a set of router failures.
+/// Structural impact of a set of router failures.
 struct FailureImpact {
-  std::vector<model::RouterId> failed;
   std::size_t instances_before = 0;
+  /// Instances of the surviving processes.
   std::size_t instances_after = 0;
   /// Baseline instances whose surviving processes ended up split across
   /// more than one instance — the failure partitioned them.
   std::vector<std::uint32_t> fragmented_instances;
-  /// Baseline instance pairs whose every route-exchange router failed.
-  std::size_t severed_instance_pairs = 0;
-
-  bool disconnects_something() const noexcept {
-    return !fragmented_instances.empty() || severed_instance_pairs > 0;
-  }
 };
-
-FailureImpact simulate_router_failure(
-    const model::Network& network, const graph::InstanceSet& baseline,
-    const std::vector<model::RouterId>& failed);
 
 /// A router whose single failure splits its own routing instance: an
 /// articulation point of the instance's router-level adjacency graph.
@@ -66,14 +50,14 @@ struct FailureScenario {
   std::vector<model::RouterId> failed;
 };
 
-/// Structural + reachability impact of one scenario, evaluated on the
-/// degraded network.
+/// Structural + reachability impact of one scenario, evaluated on its
+/// failure Problem (see sweep_failure_scenarios).
 struct ScenarioImpact {
   FailureScenario scenario;
   FailureImpact structural;
-  /// Degraded-network reachability fixpoint summary.
+  /// The failure Problem's fixpoint summary.
   std::size_t instances_reaching_internet = 0;
-  std::size_t total_routes = 0;  // sum over degraded instances
+  std::size_t total_routes = 0;  // sum over the partition's instances
   std::size_t announced_externally = 0;
   bool reachability_converged = true;
 };
@@ -84,11 +68,17 @@ struct ScenarioImpact {
 std::vector<FailureScenario> single_failure_scenarios(
     const model::Network& network, const graph::InstanceGraph& graph);
 
-/// Evaluate every scenario — one independent route-propagation fixpoint per
-/// scenario on the degraded network, counted by
-/// `ReachabilityAnalysis::summarize` — fanned out across the pool. Result
-/// `i` is scenario `i`'s impact regardless of scheduling, so parallel
-/// sweeps are byte-identical to the serial loop.
+/// Evaluate every scenario, fanned out across the pool. A scenario's
+/// failure Problem comes from the intact network, which is never rebuilt:
+/// the surviving processes re-closed over the intact adjacencies
+/// (`graph::compute_instances` with the failed routers), discovered with
+/// the intact network's external universe (one per sweep), then masked as
+/// the simulator masks a failure (`prop::masked`), so a link or session to
+/// a failed router is down, not external. The structural impact reads the
+/// same re-closure; the fixpoint is counted by
+/// `ReachabilityAnalysis::summarize`. `failed` may come in any order.
+/// Result `i` is scenario `i`'s impact regardless of scheduling, so
+/// parallel sweeps are byte-identical to the serial loop.
 std::vector<ScenarioImpact> sweep_failure_scenarios(
     const model::Network& network, const graph::InstanceSet& baseline,
     const std::vector<FailureScenario>& scenarios,

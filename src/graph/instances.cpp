@@ -92,9 +92,16 @@ InstanceSet assemble(const model::Network& network,
 
 }  // namespace
 
-InstanceSet compute_instances(const model::Network& network) {
+InstanceSet compute_instances(const model::Network& network,
+                              const std::vector<model::RouterId>& failed) {
+  auto up = [&](model::ProcessId p) {
+    return !std::binary_search(failed.begin(), failed.end(),
+                               network.processes()[p].router);
+  };
   UnionFind uf(network.processes().size());
-  for (const auto& [a, b] : closure_edges(network).pairs) uf.unite(a, b);
+  for (const auto& [a, b] : closure_edges(network).pairs) {
+    if (up(a) && up(b)) uf.unite(a, b);
+  }
   std::vector<std::uint32_t> component(network.processes().size());
   for (model::ProcessId p = 0; p < network.processes().size(); ++p) {
     component[p] = uf.find(p);

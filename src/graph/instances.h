@@ -33,7 +33,12 @@ struct InstanceSet {
 };
 
 /// Compute instances via union-find over adjacencies (production path).
-InstanceSet compute_instances(const model::Network& network);
+/// With `failed` routers (sorted ascending), the partition after they fail:
+/// the surviving processes closed over the adjacencies that join two
+/// survivors, and each failed process left as an instance of its own.
+/// Instances are numbered as without failures, by lowest member process.
+InstanceSet compute_instances(const model::Network& network,
+                              const std::vector<model::RouterId>& failed = {});
 
 /// Same partition via explicit BFS flood fill (the paper's §3.2 narrative
 /// description). Kept as an independent implementation: tests assert both

@@ -39,7 +39,9 @@ struct QueryResult {
 /// assertions, and the design-rule summary. Exit 1 when any error-severity
 /// rule finding exists. The route-load and intent sections and the design
 /// rules read `ctx`'s fixpoint, verdicts and dataflow, building whichever
-/// is not built yet; the what-if sweep runs its own fixpoints.
+/// is not built yet; the what-if sweep counts one fixpoint of its own per
+/// printed scenario, on that scenario's failure Problem (the intact
+/// network's, re-closed without the failed router and masked).
 QueryResult audit_report(const analysis::Context& ctx,
                          util::ThreadPool& pool);
 /// The same report over a context of its own, built for this one call.
@@ -49,7 +51,9 @@ QueryResult audit_report(const model::Network& network,
                          util::ThreadPool& pool);
 
 /// The survivability section alone (audit_network --whatif): articulation
-/// routers plus the parallel single-failure sweep.
+/// routers plus the parallel single-failure sweep, which fails each
+/// printed scenario's router in a Problem built from the intact network
+/// (analysis::sweep_failure_scenarios).
 QueryResult whatif_report(const model::Network& network,
                           const graph::InstanceGraph& ig,
                           util::ThreadPool& pool);

@@ -503,9 +503,9 @@ TEST(ServeQueries, SurvivabilitySweepsOnlyShownScenarios) {
 }
 
 TEST(ServeQueries, SurvivabilityTracesEachScenarioRebuildAndFixpoint) {
-  // Every swept scenario's span holds one `sweep.rebuild` child (the
-  // degraded network, its instances and the structural impact) and one
-  // `reachability.run` child (the counted fixpoint).
+  // Every swept scenario's span holds one `sweep.failure_problem` child
+  // (the re-closure, which the structural impact reads too, the discovery
+  // and the mask) and one `reachability.run` child (the counted fixpoint).
   const auto built = managed_seed(1);
   util::ThreadPool pool(2);
   auto& registry = obs::Registry::instance();
@@ -565,7 +565,8 @@ TEST(ServeQueries, SurvivabilityTracesEachScenarioRebuildAndFixpoint) {
   EXPECT_EQ(scenarios, 5u);
   for (const auto& [index, names] : children) {
     EXPECT_EQ(names, (std::map<std::string, std::size_t>{
-                         {"reachability.run", 1}, {"sweep.rebuild", 1}}))
+                         {"reachability.run", 1},
+                         {"sweep.failure_problem", 1}}))
         << "scenario span " << index;
   }
 }
