@@ -116,7 +116,7 @@ TEST_F(AnalysisContext, AuditReportComputesEachFactOnce) {
               std::string::npos);
     const auto scenarios = count("sweep.scenarios");
     EXPECT_GT(scenarios, 0u);
-    // The what-if sweep runs one fixpoint per degraded network of its own;
+    // The what-if sweep runs one fixpoint per scenario's failure Problem;
     // the baseline fixpoint runs once for the route-load section, the
     // intent section and RD052 together.
     EXPECT_EQ(count("reachability.runs"), 1 + scenarios) << threads;
