@@ -4,7 +4,7 @@
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_set>
+#include <tuple>
 #include <utility>
 
 #include "analysis/propagation.h"
@@ -86,18 +86,6 @@ std::size_t redistribute_line(const model::Network& network,
 
 namespace {
 
-using model::Route;
-
-struct FactHash {
-  std::size_t operator()(const RouteFact& fact) const noexcept {
-    std::uint64_t h = model::RouteHash{}(fact.route);
-    h = h * 0x9e3779b97f4a7c15ULL + fact.origin;
-    h = h * 0x9e3779b97f4a7c15ULL + fact.exit_router;
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h);
-  }
-};
-
 Finding make_finding(model::RouterId router, std::string subject,
                      std::string detail, std::size_t line,
                      model::RouterId router_b = model::kInvalidId) {
@@ -115,145 +103,180 @@ std::string router_name(const model::Network& network, model::RouterId r) {
                                 : network.routers()[r].hostname;
 }
 
+/// One node of an origin's Problem: the facts held in an instance under one
+/// exit router, or a sink that only records what a crossing let through.
+/// The field order sorts the sinks by edge, then by exit router.
+struct Node {
+  enum class Role : std::uint8_t { kFacts, kLoopSink, kEntrySink };
+  Role role = Role::kFacts;
+  std::size_t edge = 0;                      // the sinks
+  std::uint32_t instance = 0;                // kFacts
+  model::RouterId exit = model::kInvalidId;  // kFacts, kLoopSink
+
+  friend auto operator<=>(const Node&, const Node&) = default;
+};
+
 }  // namespace
 
 InstanceDataflow::InstanceDataflow(const model::Network& network,
                                    const graph::InstanceGraph& graph) {
+  obs::Span span("dataflow.run", "dataflow");
   const auto& set = graph.set;
   const std::size_t n = set.instances.size();
   // The propagation rules' own discovery: the same seeds, edges and policy
   // context the reachability fixpoint and the simulator evaluate.
   const prop::Problem problem = prop::discover(network, set, {}, {});
-  model::PolicyCompiler compiler;
 
   // --- Edges: cross-instance redistribution commands, then internal EBGP
-  // sessions (one per direction: remote -> local), each in model order and
-  // each with its policy chain compiled once.
-  struct Chain {
-    const model::CompiledRouteMap* route_map = nullptr;  // null: pass-through
-    prop::CompiledStanzaDir outbound;      // kRedistribution: target stanza
-    prop::CompiledSessionDir sender_out;   // kSession
-    prop::CompiledSessionDir receiver_in;  // kSession
-  };
-  std::vector<Chain> chains;
+  // sessions (one per direction: remote -> local), each in model order.
+  std::vector<std::vector<std::size_t>> out_edges(n);
   for (const auto& redist : problem.redist_edges) {
+    out_edges[redist.from_instance].push_back(edges_.size());
     edges_.push_back({DataflowEdge::Kind::kRedistribution, redist.from_instance,
                       redist.to_instance, redist.router, redist.router,
                       redist.line});
-    Chain chain;
-    if (*redist.route_map) {
-      chain.route_map = compiler.route_map(*redist.config, **redist.route_map);
-    }
-    chain.outbound = prop::compile_stanza_dir(compiler, *redist.config,
-                                              *redist.stanza, false);
-    chains.push_back(std::move(chain));
   }
   for (const auto& flow : problem.flows) {
+    out_edges[flow.from_instance].push_back(edges_.size());
     edges_.push_back({DataflowEdge::Kind::kSession, flow.from_instance,
                       flow.to_instance, flow.to_router, flow.from_router,
                       flow.receiver_in.neighbor->line});
-    Chain chain;
-    chain.sender_out = prop::compile_session_dir(compiler, flow.sender_out,
-                                                 false);
-    chain.receiver_in = prop::compile_session_dir(compiler, flow.receiver_in,
-                                                  true);
-    chains.push_back(std::move(chain));
   }
 
-  // --- Seeds: the Problem's origination and local-RIB seeds, then BGP
-  // aggregates as unconditional origination (the abstract domain does not
-  // track the contained-more-specific trigger the concrete engine models —
-  // over-approximating keeps the rules sound for loop detection).
-  std::vector<std::vector<RouteFact>> logs(n);
-  std::vector<std::unordered_set<RouteFact, FactHash>> present(n);
-  auto add_fact = [&](std::uint32_t inst, const RouteFact& fact) {
-    if (!present[inst].insert(fact).second) return false;
-    logs[inst].push_back(fact);
-    ++total_facts_;
-    return true;
-  };
+  // --- Seeds per origin, at its node 0: the Problem's origination and
+  // local-RIB seeds, then BGP aggregates as unconditional origination (the
+  // abstract domain does not track the contained-more-specific trigger the
+  // concrete engine models — over-approximating keeps the rules sound for
+  // loop detection).
+  std::vector<std::vector<prop::Seed>> seeds(n);
   for (const auto& seed : problem.seeds) {
-    add_fact(seed.instance, {seed.instance, model::kInvalidId, seed.route});
+    seeds[seed.instance].push_back({0, seed.router, seed.route});
   }
   for (const auto& point : problem.aggregate_points) {
-    add_fact(point.instance, {point.instance, model::kInvalidId,
-                              {point.prefix, std::nullopt}});
+    seeds[point.instance].push_back(
+        {0, point.router, {point.prefix, std::nullopt}});
   }
 
-  // --- Semi-naïve fixpoint: per-edge cursors into the source instance's
-  // append-only log; edges fire in index order, so entry records and loop
-  // events come out in a deterministic order.
-  std::vector<std::size_t> cursor(edges_.size(), 0);
-  std::set<std::pair<std::size_t, std::uint32_t>> loops_seen;
-  std::set<std::pair<std::uint32_t, std::uint32_t>> entries_seen;
-  constexpr std::size_t kMaxRounds = 256;
-  bool changed = true;
-  while (changed) {
-    if (iterations_ == kMaxRounds) {
-      converged_ = false;
-      break;
+  // --- One Problem per origin. Facts of different origins never meet, so
+  // each origin's facts are one propagation: node 0 holds the origin's
+  // seeds, and the other nodes are the (instance, exit router) pairs its
+  // facts reach, the exit stamped at the first crossing out of the origin.
+  // Per origin, not one product over all of them: `propagate` sizes every
+  // non-empty bitmap to the whole route domain.
+  std::vector<Node> nodes;
+  std::map<Node, std::uint32_t> index;
+  const auto node_at = [&](const Node& node) {
+    const auto [it, fresh] =
+        index.emplace(node, static_cast<std::uint32_t>(nodes.size()));
+    if (fresh) nodes.push_back(node);
+    return it->second;
+  };
+  std::size_t origins = 0, fact_nodes = 0;
+  for (std::uint32_t origin = 0; origin < n; ++origin) {
+    if (seeds[origin].empty()) continue;
+    ++origins;
+    if (out_edges[origin].empty()) {  // nothing leaves: count its seeds
+      std::set<model::Route> routes;
+      for (const auto& seed : seeds[origin]) routes.insert(seed.route);
+      total_facts_ += routes.size();
+      ++fact_nodes;
+      continue;
     }
-    ++iterations_;
-    changed = false;
-    for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
-      const DataflowEdge& edge = edges_[ei];
-      const Chain& chain = chains[ei];
-      // Edges never target their own source, so the source log is stable
-      // while this edge drains it.
-      const std::size_t end = logs[edge.from].size();
-      for (std::size_t fi = cursor[ei]; fi < end; ++fi) {
-        const RouteFact fact = logs[edge.from][fi];
+    prop::Problem p;
+    p.max_iterations = 256;  // the safety cap converged() reports
+    p.seeds = seeds[origin];
+    nodes.clear();
+    index.clear();
+    node_at({Node::Role::kFacts, 0, origin, model::kInvalidId});
+    for (std::uint32_t k = 0; k < nodes.size(); ++k) {
+      const Node node = nodes[k];  // copy: node_at grows `nodes`
+      if (node.role != Node::Role::kFacts) continue;
+      for (const std::size_t ei : out_edges[node.instance]) {
+        const DataflowEdge& edge = edges_[ei];
+        const Node to{Node::Role::kFacts, 0, edge.to,
+                      node.exit != model::kInvalidId ? node.exit
+                                                     : edge.exit_router};
         if (edge.kind == DataflowEdge::Kind::kSession) {
           // AS-path loop prevention: BGP never re-learns its own routes.
-          if (fact.origin == edge.to) continue;
-          if (!chain.sender_out.permits(fact.route)) continue;
-          if (!chain.receiver_in.permits(fact.route)) continue;
-          RouteFact next = fact;
-          if (next.exit_router == model::kInvalidId) {
-            next.exit_router = edge.exit_router;
-          }
-          if (add_fact(edge.to, next)) changed = true;
+          if (edge.to == origin) continue;
+          auto flow = problem.flows[ei - problem.redist_edges.size()];
+          flow.from_instance = k;
+          flow.to_instance = node_at(to);
+          p.flows.push_back(flow);
           continue;
         }
         // Redistribution: route-map (unresolved names pass through, as in
         // IOS), then the target stanza's outbound distribute-lists.
-        Route route = fact.route;
-        if (chain.route_map != nullptr) {
-          const auto& verdict = chain.route_map->evaluate(route);
-          if (!verdict.permitted) continue;
-          route = verdict.route;
-        }
-        if (!chain.outbound.permits(route)) continue;
-        if (fact.origin == edge.to) {
-          // The instance's own route coming home. A same-router bounce is
+        prop::RedistEdge redist = problem.redist_edges[ei];
+        redist.from_instance = k;
+        if (edge.to == origin) {
+          // The instance's own route coming home is never re-injected,
+          // which keeps the fact domain finite. A same-router bounce is
           // broken by that router's RIB (it prefers what it already has);
           // a multi-router cycle is live only when the carried copy's
           // distance beats the native route on the shared routers.
-          if (fact.exit_router != model::kInvalidId &&
-              fact.exit_router != edge.router &&
+          if (node.exit != model::kInvalidId && node.exit != edge.router &&
               distance_external(set.instances[edge.from].protocol) <
-                  distance_internal(set.instances[fact.origin].protocol)) {
-            if (loops_seen.emplace(ei, fact.origin).second) {
-              loop_events_.push_back({ei, fact.origin, fact.exit_router,
-                                      route});
-            }
+                  distance_internal(set.instances[origin].protocol)) {
+            redist.to_instance =
+                node_at({Node::Role::kLoopSink, ei, 0, node.exit});
+            p.redist_edges.push_back(redist);
           }
-          continue;  // never re-inject: keeps the fact domain finite
+          continue;
         }
-        if (entries_seen.emplace(fact.origin, edge.to).second) {
-          entries_.push_back({fact.origin, edge.to, ei});
-        }
-        RouteFact next{fact.origin,
-                       fact.exit_router == model::kInvalidId
-                           ? edge.router
-                           : fact.exit_router,
-                       route};
-        if (add_fact(edge.to, next)) changed = true;
+        redist.to_instance = node_at(to);
+        p.redist_edges.push_back(redist);
+        redist.to_instance = node_at({Node::Role::kEntrySink, ei});
+        p.redist_edges.push_back(redist);
       }
-      cursor[ei] = end;
+    }
+    p.instance_count = nodes.size();
+    const prop::Propagation run = prop::propagate(p, std::nullopt);
+    iterations_ = std::max(iterations_, run.iterations);
+    converged_ = converged_ && run.converged;
+
+    // Read the sinks in `index` order, by edge, then by exit router: per
+    // closing edge the least exit router, with the least route through it
+    // as the witness; per entered instance the lowest edge.
+    std::set<std::uint32_t> entered;
+    for (const auto& [node, k] : index) {
+      const auto& bits = run.member[k];
+      if (node.role == Node::Role::kFacts) {
+        total_facts_ += prop::held_count(bits);
+        ++fact_nodes;
+        continue;
+      }
+      if (prop::held_count(bits) == 0) continue;
+      const std::uint32_t to = edges_[node.edge].to;
+      if (node.role == Node::Role::kEntrySink) {
+        if (entered.insert(to).second) {
+          entries_.push_back({origin, to, node.edge});
+        }
+        continue;
+      }
+      if (!loop_events_.empty() && loop_events_.back().edge == node.edge &&
+          loop_events_.back().origin == origin) {
+        continue;  // a lesser exit router closes this loop already
+      }
+      const model::Route* least = nullptr;
+      for (std::uint32_t pos = 0; pos < bits.size() * 64; ++pos) {
+        if (prop::holds(bits, pos) &&
+            (least == nullptr || run.domain[pos] < *least)) {
+          least = &run.domain[pos];
+        }
+      }
+      loop_events_.push_back({node.edge, origin, node.exit, *least});
     }
   }
+  const auto by_edge = [](const auto& a, const auto& b) {
+    return std::tie(a.edge, a.origin) < std::tie(b.edge, b.origin);
+  };
+  std::sort(loop_events_.begin(), loop_events_.end(), by_edge);
+  std::sort(entries_.begin(), entries_.end(), by_edge);
 
+  span.arg("origins", origins);
+  span.arg("nodes", fact_nodes);
+  span.arg("facts", total_facts_);
   obs::counter("dataflow.runs").add();
   obs::counter("dataflow.facts").add(total_facts_);
   obs::counter("dataflow.iterations").add(iterations_);
@@ -462,6 +485,7 @@ std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
   std::vector<Finding> out;
   const auto& set = ctx.graph.set;
   const auto& network = ctx.network;
+  using Pair = std::pair<std::uint32_t, std::uint32_t>;  // ascending
   for (const auto& pair : redistribution_redundancy(network, ctx.graph)) {
     if (!pair.single_point_of_failure()) continue;
     // Pairs where either side is a single-router instance are the business
@@ -484,17 +508,12 @@ std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
     // purely over EBGP sessions (e.g. a hub AS fanning out to spoke ASs)
     // concentrate on one router by design, and BGP's session model — not a
     // redistribution boundary — is what fails with the router.
-    bool redistributes = false;
-    for (const auto& edge : ctx.graph.edges) {
-      if (edge.kind != graph::InstanceEdge::Kind::kRedistribution) continue;
-      const std::pair<std::uint32_t, std::uint32_t> key =
-          std::minmax(edge.from, edge.to);
-      if (key == std::pair<std::uint32_t, std::uint32_t>(
-                     std::minmax(pair.instance_a, pair.instance_b))) {
-        redistributes = true;
-        break;
-      }
-    }
+    const Pair glued = std::minmax(pair.instance_a, pair.instance_b);
+    const bool redistributes = std::any_of(
+        ctx.graph.edges.begin(), ctx.graph.edges.end(), [&](const auto& e) {
+          return e.kind == graph::InstanceEdge::Kind::kRedistribution &&
+                 Pair(std::minmax(e.from, e.to)) == glued;
+        });
     if (!redistributes) continue;
     const model::RouterId point = pair.connecting_routers.front();
     // Losing `point` must actually disconnect the pair in the instance
@@ -509,14 +528,9 @@ std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
     std::vector<char> seen(set.instances.size(), 0);
     std::vector<std::uint32_t> stack{pair.instance_a};
     seen[pair.instance_a] = 1;
-    bool connected = false;
-    while (!stack.empty()) {
+    while (!stack.empty() && !seen[pair.instance_b]) {
       const std::uint32_t at = stack.back();
       stack.pop_back();
-      if (at == pair.instance_b) {
-        connected = true;
-        break;
-      }
       for (const std::uint32_t next : adjacent[at]) {
         if (!seen[next]) {
           seen[next] = 1;
@@ -524,7 +538,7 @@ std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
         }
       }
     }
-    if (connected) continue;
+    if (seen[pair.instance_b]) continue;  // still connected
     // Anchor at the first redistribute command joining the pair on `point`.
     std::size_t line = 0;
     for (const auto& redist : network.redistribution_edges()) {
@@ -532,12 +546,7 @@ std::vector<Finding> RedistributionSafety::single_point(const Context& ctx) {
       if (redist.router != point) continue;
       const std::uint32_t from = set.instance_of[redist.source_process];
       const std::uint32_t to = set.instance_of[redist.target_process];
-      const std::pair<std::uint32_t, std::uint32_t> key =
-          std::minmax(from, to);
-      if (key != std::pair<std::uint32_t, std::uint32_t>(
-                     std::minmax(pair.instance_a, pair.instance_b))) {
-        continue;
-      }
+      if (Pair(std::minmax(from, to)) != glued) continue;
       line = redistribute_line(network, redist);
       break;
     }

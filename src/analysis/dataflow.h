@@ -14,15 +14,14 @@
 namespace rd::analysis {
 
 /// Forward-dataflow analysis over the routing-instance graph (paper §6:
-/// instances glued together with redistribution plus ad-hoc filters). Nodes
-/// are routing instances, edges are the points where routes cross instance
-/// borders — redistribution commands and internal EBGP sessions — each with
-/// its filter policy. The engine pushes abstract route facts along the
-/// edges to a fixpoint the same semi-naïve way the reachability engine
-/// pushes concrete routes, but each fact remembers *where it came from*:
-/// its originating instance and the router where it first left it. That
-/// provenance is what the redistribution-safety rules (RD060-RD064) reason
-/// about and the concrete fixpoint deliberately forgets.
+/// instances glued together with redistribution plus ad-hoc filters). Edges
+/// are the points where routes cross instance borders — redistribution
+/// commands and internal EBGP sessions — each with its filter policy. Each
+/// fact remembers *where it came from*: its originating instance and the
+/// router where it first left it. That provenance is what the
+/// redistribution-safety rules (RD060-RD064) reason about and the concrete
+/// fixpoint deliberately forgets. Facts of different origins never meet,
+/// so each origin's facts are one run of `prop::propagate` (DESIGN.md §13).
 
 // --- Protocol tables ---------------------------------------------------------
 
@@ -61,21 +60,7 @@ std::string instance_label(const graph::InstanceSet& set, std::uint32_t i);
 std::size_t redistribute_line(const model::Network& network,
                               const model::RedistributionEdge& edge);
 
-// --- Abstract domain ---------------------------------------------------------
-
-/// One abstract fact: a route plus its provenance. `exit_router` is
-/// kInvalidId while the fact still sits in its originating instance and is
-/// stamped with the border router the first time the fact crosses out —
-/// after that it never changes, so a fact arriving back at its origin knows
-/// whether it traveled a real multi-router cycle or just bounced inside one
-/// box (where the router's own RIB already breaks the loop).
-struct RouteFact {
-  std::uint32_t origin = 0;  // instance index the route was originated in
-  model::RouterId exit_router = model::kInvalidId;
-  model::Route route;
-
-  friend bool operator==(const RouteFact&, const RouteFact&) = default;
-};
+// --- The engine --------------------------------------------------------------
 
 /// One edge of the instance dataflow graph.
 struct DataflowEdge {
@@ -101,38 +86,43 @@ struct DataflowEdge {
 /// event): some fact originated in `origin` traveled a multi-router cycle
 /// and a redistribution edge would inject it back, and the injected copy's
 /// administrative distance beats the native route, so the loop is live.
+/// Of the exit routers whose facts close the loop, the least is kept, and
+/// of the routes closing it through that exit, the least is the witness.
 struct LoopEvent {
   std::size_t edge = 0;  // index into edges(); always kRedistribution
   std::uint32_t origin = 0;
   model::RouterId exit_router = model::kInvalidId;  // where it left origin
-  model::Route witness;  // first route observed closing this loop
+  model::Route witness;  // as the closing edge's policy forwards it
 };
 
-/// The first redistribution edge that delivered a fact of `origin` into
-/// `instance` (execution order, which is deterministic). Session deliveries
-/// are not recorded: BGP carries its own distance (never inverting an IGP)
-/// and its loop prevention is the AS path, not administrative distance.
+/// A redistribution edge that delivers facts of `origin` into `instance`,
+/// the lowest-indexed one. Session deliveries are not recorded: BGP
+/// carries its own distance (never inverting an IGP) and its loop
+/// prevention is the AS path, not administrative distance.
 struct EntryRecord {
   std::uint32_t origin = 0;
   std::uint32_t instance = 0;
   std::size_t edge = 0;  // index into edges()
 };
 
-/// The fixpoint engine. Construction reads the network only through
+/// The engine. Construction reads the network only through
 /// `prop::discover`, the discovery the reachability fixpoint and the
 /// simulator share: its redistribution edges then its internal EBGP flows
-/// become the edges, each guarded by its compiled policy chain, and its
-/// seeds plus its BGP aggregates (as unconditional origination) become the
-/// initial facts. It then iterates to a fixpoint. All results are
-/// deterministic functions of the network — edges fire in index order,
-/// facts in log order — so rule output is byte-identical across thread
-/// counts.
+/// become the edges, and its seeds plus its BGP aggregates (as
+/// unconditional origination) become the initial facts. Each origin with
+/// an out-edge is then one `prop::Problem`, evaluated by `prop::propagate`:
+/// its nodes are the (instance, exit router) pairs its facts reach, and
+/// sink nodes catch what would close a loop and what enters each instance.
+/// An origin with no out-edge just counts its distinct seed routes. Every
+/// result is a deterministic function of the network, so rule output is
+/// byte-identical across thread counts.
 class InstanceDataflow {
  public:
   InstanceDataflow(const model::Network& network,
                    const graph::InstanceGraph& graph);
 
   const std::vector<DataflowEdge>& edges() const noexcept { return edges_; }
+  /// Ordered by (edge, origin), as are entries().
   const std::vector<LoopEvent>& loop_events() const noexcept {
     return loop_events_;
   }
@@ -142,10 +132,11 @@ class InstanceDataflow {
   /// Facts resident after the fixpoint, over all instances (seeds
   /// included).
   std::size_t fact_count() const noexcept { return total_facts_; }
+  /// The most rounds any origin's propagation took.
   std::size_t iterations() const noexcept { return iterations_; }
-  /// False only if the safety cap on rounds was hit (cyclic tag rewriting
-  /// could in principle keep minting fresh facts; real configs converge in
-  /// a handful of rounds).
+  /// False only if an origin hit the safety cap on rounds (cyclic tag
+  /// rewriting could in principle keep minting fresh facts; real configs
+  /// converge in a handful of rounds).
   bool converged() const noexcept { return converged_; }
 
  private:
@@ -163,8 +154,8 @@ class InstanceDataflow {
 /// dataflow engine (registered as RD060-RD064, category "dataflow"). Each
 /// body is pure and may run concurrently with any other rule; RD060 and
 /// RD062 share the run's one `Context::dataflow()`, immutable once built
-/// (its compiled policies, whose verdict memos are not shareable, die with
-/// the constructor).
+/// (its per-origin Problems and their compiled policies, whose verdict
+/// memos are not shareable, die with the constructor).
 struct RedistributionSafety {
   /// RD060: an instance's routes can transit a filter-permitting
   /// multi-router cycle and re-enter their origin with a winning distance.

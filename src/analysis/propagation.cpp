@@ -60,10 +60,6 @@ Problem discover(const model::Network& network,
   Problem problem;
   problem.instance_count = instances.instances.size();
   problem.max_iterations = options.max_iterations;
-  problem.instance_process_counts.reserve(problem.instance_count);
-  for (const auto& instance : instances.instances) {
-    problem.instance_process_counts.push_back(instance.processes.size());
-  }
   problem.universe.reserve(external_origin.size());
   for (const auto& prefix : external_origin) {
     problem.universe.push_back({prefix, std::nullopt});
@@ -241,7 +237,6 @@ Problem masked(const Problem& problem,
   Problem out;
   out.instance_count = problem.instance_count;
   out.max_iterations = problem.max_iterations;
-  out.instance_process_counts = problem.instance_process_counts;
   out.universe = problem.universe;
   for (const auto& seed : problem.seeds) {
     if (!down(seed.router)) out.seeds.push_back(seed);
@@ -578,9 +573,11 @@ Propagation propagate(const Problem& problem,
     return (positions + 63) / 64;
   };
 
-  // Per-instance membership bitmaps over domain positions, lazily sized
-  // (and re-grown as the domain grows) to the word the highest set bit
-  // needs; words past an instance's current size read as zero.
+  // Per-instance membership bitmaps over domain positions. A bitmap stays
+  // empty until its instance holds a route; external injection sizes it to
+  // the offers, and any other bit past its end grows it to the whole
+  // current domain (`add_pos`, the flow branch), so a non-empty bitmap
+  // costs the domain's size. Words past a bitmap's end read as zero.
   auto& member = result.member;
   member.resize(n);
   std::vector<char> dirty(n, 0);

@@ -104,7 +104,6 @@ struct RedistEdge {
 struct Problem {
   std::size_t instance_count = 0;
   std::size_t max_iterations = 0;
-  std::vector<std::size_t> instance_process_counts;
   std::vector<Seed> seeds;      // origination + local RIB
   std::vector<model::Route> universe;  // external offers, ascending by prefix
   std::vector<InternalFlow> flows;
