@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -22,23 +21,13 @@
 #include "synth/fleet.h"
 #include "synth/mutate.h"
 #include "testutil.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace rd::analysis {
 namespace {
 
+using rd::test::env_u64;
 using rd::test::run_serial;
-
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  std::uint64_t parsed = 0;
-  if (!util::parse_u64(util::trim(raw), parsed) || parsed == 0) {
-    return fallback;
-  }
-  return parsed;
-}
 
 /// Only the five dataflow rules: the differential grades RD060-RD064, and
 /// the full 31-rule engine would spend almost all its time in rules under

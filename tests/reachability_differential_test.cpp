@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,23 +30,15 @@
 #include "pipeline/pipeline.h"
 #include "synth/archetypes.h"
 #include "synth/emit.h"
-#include "util/strings.h"
+#include "testutil.h"
 #include "util/thread_pool.h"
 
 namespace rd::analysis {
 namespace {
 
-using Options = ReachabilityAnalysis::Options;
+using rd::test::env_u64;
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  std::uint64_t parsed = 0;
-  if (!util::parse_u64(util::trim(raw), parsed) || parsed == 0) {
-    return fallback;
-  }
-  return parsed;
-}
+using Options = ReachabilityAnalysis::Options;
 
 struct Case {
   std::string name;

@@ -11,25 +11,16 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 #include "config/parser.h"
 #include "config/writer.h"
+#include "testutil.h"
 #include "util/rng.h"
-#include "util/strings.h"
 
 namespace rd::config {
 namespace {
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  std::uint64_t parsed = 0;
-  if (!util::parse_u64(util::trim(raw), parsed) || parsed == 0) {
-    return fallback;
-  }
-  return parsed;
-}
+using rd::test::env_u64;
 
 // Caps the random section counts scale against; read once.
 const std::uint64_t kScale = env_u64("RD_FUZZ_SCALE", 1);

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -9,6 +11,7 @@
 #include "config/parser.h"
 #include "ip/ipv4.h"
 #include "model/network.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace rd::test {
@@ -36,6 +39,18 @@ inline analysis::RuleEngine::Result run_serial(
     const analysis::RuleEngine& engine, const model::Network& network) {
   util::ThreadPool pool(1);
   return engine.run(network, pool);
+}
+
+/// A positive integer from the environment (the RD_FUZZ_* stress dials),
+/// or `fallback` when the variable is unset, malformed or zero.
+inline std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
+  const char* raw = std::getenv(name);
+  if (raw == nullptr) return fallback;
+  std::uint64_t parsed = 0;
+  if (!util::parse_u64(util::trim(raw), parsed) || parsed == 0) {
+    return fallback;
+  }
+  return parsed;
 }
 
 inline ip::Prefix pfx(std::string_view text) {
