@@ -186,8 +186,8 @@ class JsonReader {
   explicit JsonReader(std::string_view text) : text_(text) {}
 
   std::optional<Json> run() {
-    auto value = parse_value();
-    if (!value) return std::nullopt;
+    Json value;
+    if (!parse_value(value)) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
     return value;
@@ -216,81 +216,85 @@ class JsonReader {
     return true;
   }
 
-  std::optional<Json> parse_value() {
-    if (depth_ > kMaxDepth) return std::nullopt;
+  // Each parse_* fills `out` and returns whether the text was well formed.
+  // Returning std::optional<Json> instead trips GCC 12's
+  // -Wmaybe-uninitialized in the variant's move constructor at -O1.
+  bool parse_value(Json& out) {
+    if (depth_ > kMaxDepth) return false;
     skip_ws();
-    if (pos_ >= text_.size()) return std::nullopt;
+    if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
+        return parse_object(out);
       case '[':
-        return parse_array();
+        return parse_array(out);
       case '"': {
         auto s = parse_string();
-        if (!s) return std::nullopt;
-        return Json(std::move(*s));
+        if (!s) return false;
+        out = Json(std::move(*s));
+        return true;
       }
       case 't':
-        if (consume_literal("true")) return Json(true);
-        return std::nullopt;
+        out = Json(true);
+        return consume_literal("true");
       case 'f':
-        if (consume_literal("false")) return Json(false);
-        return std::nullopt;
+        out = Json(false);
+        return consume_literal("false");
       case 'n':
-        if (consume_literal("null")) return Json();
-        return std::nullopt;
+        out = Json();
+        return consume_literal("null");
       default:
-        return parse_number();
+        return parse_number(out);
     }
   }
 
-  std::optional<Json> parse_object() {
+  bool parse_object(Json& out) {
     ++pos_;  // '{'
     ++depth_;
-    auto object = Json::object();
+    out = Json::object();
     skip_ws();
     if (consume('}')) {
       --depth_;
-      return object;
+      return true;
     }
     while (true) {
       skip_ws();
       auto key = parse_string();
-      if (!key) return std::nullopt;
+      if (!key) return false;
       skip_ws();
-      if (!consume(':')) return std::nullopt;
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      object.set(std::move(*key), std::move(*value));
+      if (!consume(':')) return false;
+      Json value;
+      if (!parse_value(value)) return false;
+      out.set(std::move(*key), std::move(value));
       skip_ws();
       if (consume(',')) continue;
       if (consume('}')) break;
-      return std::nullopt;
+      return false;
     }
     --depth_;
-    return object;
+    return true;
   }
 
-  std::optional<Json> parse_array() {
+  bool parse_array(Json& out) {
     ++pos_;  // '['
     ++depth_;
-    auto array = Json::array();
+    out = Json::array();
     skip_ws();
     if (consume(']')) {
       --depth_;
-      return array;
+      return true;
     }
     while (true) {
-      auto value = parse_value();
-      if (!value) return std::nullopt;
-      array.push_back(std::move(*value));
+      Json value;
+      if (!parse_value(value)) return false;
+      out.push_back(std::move(value));
       skip_ws();
       if (consume(',')) continue;
       if (consume(']')) break;
-      return std::nullopt;
+      return false;
     }
     --depth_;
-    return array;
+    return true;
   }
 
   std::optional<std::string> parse_string() {
@@ -395,7 +399,7 @@ class JsonReader {
     return true;
   }
 
-  std::optional<Json> parse_number() {
+  bool parse_number(Json& out) {
     // The JSON number grammar, enforced positionally:
     //   -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
     // A free-form scan that accepts '.'/'e'/'+'/'-' anywhere would let
@@ -415,12 +419,12 @@ class JsonReader {
     if (pos_ < text_.size() && text_[pos_] == '0') {
       ++pos_;  // a leading zero must stand alone ("0", "0.5", not "01")
     } else if (digits() == 0) {
-      return std::nullopt;
+      return false;
     }
     if (pos_ < text_.size() && text_[pos_] == '.') {
       ++pos_;
       integral = false;
-      if (digits() == 0) return std::nullopt;
+      if (digits() == 0) return false;
     }
     if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
       ++pos_;
@@ -428,16 +432,17 @@ class JsonReader {
       if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
         ++pos_;
       }
-      if (digits() == 0) return std::nullopt;
+      if (digits() == 0) return false;
     }
     const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return std::nullopt;
+    if (token.empty() || token == "-") return false;
     if (integral) {
       long long value = 0;
       const auto res =
           std::from_chars(token.data(), token.data() + token.size(), value);
       if (res.ec == std::errc{} && res.ptr == token.data() + token.size()) {
-        return Json(value);
+        out = Json(value);
+        return true;
       }
       // Overflow: fall through to double.
     }
@@ -445,9 +450,10 @@ class JsonReader {
     const auto res =
         std::from_chars(token.data(), token.data() + token.size(), value);
     if (res.ec != std::errc{} || res.ptr != token.data() + token.size()) {
-      return std::nullopt;
+      return false;
     }
-    return Json(value);
+    out = Json(value);
+    return true;
   }
 
   static constexpr int kMaxDepth = 256;
