@@ -1,6 +1,5 @@
-// Model-core benchmarks (ROADMAP item 2: raw speed): the interner's write
-// and read paths, the flattened structure-of-arrays lexer, and
-// Network::build with the fleet-wide name table — plus the ~100k-router
+// Model-core benchmarks (ROADMAP item 2: raw speed): the flattened
+// structure-of-arrays lexer and Network::build — plus the ~100k-router
 // mega tier. The mega benchmarks are env-gated (RD_MEGA_ROUTERS=<count>)
 // so `--check` and routine runs stay fast on small machines; EXPERIMENTS.md
 // records the one-off mega numbers.
@@ -25,7 +24,6 @@
 #include "model/network.h"
 #include "pipeline/pipeline.h"
 #include "synth/archetypes.h"
-#include "util/interner.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -63,60 +61,6 @@ const std::vector<config::RouterConfig>& fleet_configs() {
   return *configs;
 }
 
-// Every name the model interns, in intern order, with fleet-realistic
-// duplication (interface names repeat across every router).
-const std::vector<std::string>& fleet_names() {
-  static const std::vector<std::string>* names = [] {
-    auto* out = new std::vector<std::string>;
-    for (const auto& config : fleet_configs()) {
-      out->push_back(config.hostname);
-      for (const auto& itf : config.interfaces) out->push_back(itf.name);
-      for (const auto& rm : config.route_maps) out->push_back(rm.name);
-      for (const auto& acl : config.access_lists) out->push_back(acl.id);
-    }
-    return out;
-  }();
-  return *names;
-}
-
-// --- interner ---------------------------------------------------------------
-
-void BM_InternNames(benchmark::State& state) {
-  const auto& names = fleet_names();
-  std::size_t distinct = 0;
-  for (auto _ : state) {
-    util::Interner interner(256);
-    for (const auto& name : names) {
-      benchmark::DoNotOptimize(interner.intern(name));
-    }
-    distinct = interner.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(names.size()));
-  state.counters["names"] = static_cast<double>(names.size());
-  state.counters["distinct"] = static_cast<double>(distinct);
-}
-BENCHMARK(BM_InternNames);
-
-void BM_InternerFind(benchmark::State& state) {
-  const auto& names = fleet_names();
-  static const util::Interner* interner = [] {
-    auto* in = new util::Interner(256);
-    for (const auto& name : fleet_names()) in->intern(name);
-    return in;
-  }();
-  for (auto _ : state) {
-    std::uint64_t sum = 0;
-    for (const auto& name : names) sum += interner->find(name);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(names.size()));
-  state.counters["string_bytes"] =
-      static_cast<double>(interner->string_bytes());
-}
-BENCHMARK(BM_InternerFind);
-
 // --- lexer ------------------------------------------------------------------
 
 void BM_LexFleet(benchmark::State& state) {
@@ -142,16 +86,13 @@ BENCHMARK(BM_LexFleet);
 void BM_BuildModel(benchmark::State& state) {
   const auto& configs = fleet_configs();
   std::size_t routers = 0;
-  std::size_t interned = 0;
   for (auto _ : state) {
     auto copy = configs;  // build() consumes its input
     const auto network = model::Network::build(std::move(copy));
     routers = network.router_count();
-    interned = network.names().size();
     benchmark::DoNotOptimize(routers);
   }
   state.counters["routers"] = static_cast<double>(routers);
-  state.counters["interned_names"] = static_cast<double>(interned);
 }
 BENCHMARK(BM_BuildModel)->Unit(benchmark::kMillisecond);
 
@@ -206,20 +147,17 @@ bool mega_enabled(benchmark::State& state) {
 }
 
 // The full model-ingest path at mega scale: lex + parse + Network::build
-// (name interning included) over pre-serialized config texts.
+// over pre-serialized config texts.
 void BM_MegaBuild(benchmark::State& state) {
   if (!mega_enabled(state)) return;
   const auto& texts = mega_texts();
   std::size_t routers = 0;
-  std::size_t interned = 0;
   for (auto _ : state) {
     const auto network = pipeline::build_network_serial(texts);
     routers = network.router_count();
-    interned = network.names().size();
     benchmark::DoNotOptimize(routers);
   }
   state.counters["routers"] = static_cast<double>(routers);
-  state.counters["interned_names"] = static_cast<double>(interned);
 }
 BENCHMARK(BM_MegaBuild)->Unit(benchmark::kMillisecond);
 

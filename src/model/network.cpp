@@ -39,7 +39,6 @@ Network Network::build(std::vector<config::RouterConfig> configs) {
   Network net;
   net.routers_ = std::move(configs);
   net.parse_diagnostics_.resize(net.routers_.size());
-  net.intern_names();
   net.index_interfaces();
   net.infer_links();
   net.index_processes();
@@ -48,39 +47,6 @@ Network Network::build(std::vector<config::RouterConfig> configs) {
   net.resolve_bgp_sessions();
   net.build_redistribution_edges();
   return net;
-}
-
-void Network::intern_names() {
-  // Hostnames first so `router_of_symbol_` stays dense over them; interface
-  // and policy names share the same table (symbol equality == name
-  // equality fleet-wide).
-  router_symbols_.reserve(routers_.size());
-  for (RouterId r = 0; r < routers_.size(); ++r) {
-    const util::Symbol symbol = names_.intern(routers_[r].hostname);
-    router_symbols_.push_back(symbol);
-    if (router_of_symbol_.size() <= symbol) {
-      router_of_symbol_.resize(symbol + 1, kInvalidId);
-    }
-    // First router wins on duplicate hostnames, matching the linear-scan
-    // behaviour this replaces.
-    if (router_of_symbol_[symbol] == kInvalidId) {
-      router_of_symbol_[symbol] = r;
-    }
-  }
-  for (const auto& config : routers_) {
-    for (const auto& icfg : config.interfaces) names_.intern(icfg.name);
-    for (const auto& rm : config.route_maps) names_.intern(rm.name);
-    for (const auto& acl : config.access_lists) names_.intern(acl.id);
-    for (const auto& pl : config.prefix_lists) names_.intern(pl.name);
-  }
-}
-
-RouterId Network::find_router(std::string_view hostname) const noexcept {
-  const util::Symbol symbol = names_.find(hostname);
-  if (symbol == util::kNoSymbol || symbol >= router_of_symbol_.size()) {
-    return kInvalidId;
-  }
-  return router_of_symbol_[symbol];
 }
 
 void Network::index_interfaces() {
@@ -93,7 +59,6 @@ void Network::index_interfaces() {
       itf.router = r;
       itf.config_index = c;
       itf.name = icfg.name;
-      itf.name_symbol = names_.find(icfg.name);
       itf.hardware_type = icfg.hardware_type();
       itf.shutdown = icfg.shutdown;
       itf.point_to_point = icfg.point_to_point;

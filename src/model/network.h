@@ -8,7 +8,6 @@
 #include "config/ast.h"
 #include "config/parser.h"
 #include "ip/ipv4.h"
-#include "util/interner.h"
 
 namespace rd::model {
 
@@ -24,10 +23,6 @@ struct Interface {
   RouterId router = kInvalidId;
   std::uint32_t config_index = 0;  // into RouterConfig::interfaces
   std::string name;
-  /// `name` interned in the owning Network's fleet-wide symbol table:
-  /// comparisons and grouping (hardware-type tallies, adjacency checks)
-  /// are integer ops instead of string work.
-  util::Symbol name_symbol = util::kNoSymbol;
   std::string hardware_type;
   std::optional<ip::Ipv4Address> address;
   std::optional<ip::Prefix> subnet;
@@ -179,16 +174,6 @@ class Network {
     return router_processes_[r];
   }
 
-  /// Fleet-wide symbol table: every router hostname and interface name,
-  /// interned at build time (ROADMAP item 2). Read-only after build, so
-  /// analysis workers on any thread may resolve names through it.
-  const util::Interner& names() const noexcept { return names_; }
-  /// `hostname` interned symbol for a router, usable as an integer key.
-  util::Symbol router_symbol(RouterId r) const { return router_symbols_[r]; }
-  /// Router with this hostname, or kInvalidId. O(1) via the symbol table
-  /// (replaces linear hostname scans at fleet scale).
-  RouterId find_router(std::string_view hostname) const noexcept;
-
   /// The interface (if any) that owns an address, found via exact match.
   std::optional<InterfaceId> interface_with_address(
       ip::Ipv4Address addr) const;
@@ -206,7 +191,6 @@ class Network {
  private:
   Network() = default;
 
-  void intern_names();
   void index_interfaces();
   void infer_links();
   void mark_external_facing();
@@ -226,9 +210,6 @@ class Network {
   std::vector<RedistributionEdge> redistribution_edges_;
   std::vector<std::vector<InterfaceId>> router_interfaces_;
   std::vector<std::vector<ProcessId>> router_processes_;
-  util::Interner names_;
-  std::vector<util::Symbol> router_symbols_;   // RouterId -> hostname symbol
-  std::vector<RouterId> router_of_symbol_;     // symbol -> RouterId (or kInvalidId)
 };
 
 }  // namespace rd::model
