@@ -1,8 +1,8 @@
 // Performance benchmarks and ablations for the pipeline itself (not a paper
 // figure). Covers the design choices called out in DESIGN.md section 5:
 //   - instance closure via union-find vs explicit BFS flood fill;
-//   - the paper's half-used address join vs exact CIDR aggregation, and the
-//     join and router-RIB selection at the size a cold audit runs them;
+//   - the paper's half-used address join, and the join and router-RIB
+//     selection at the size a cold audit runs them;
 //   - parse/serialize/anonymize throughput and model-build scaling.
 
 #include <benchmark/benchmark.h>
@@ -23,7 +23,6 @@
 #include "graph/address_space.h"
 #include "graph/instances.h"
 #include "graph/pathway.h"
-#include "ip/aggregate.h"
 #include "model/network.h"
 #include "pipeline/parse_cache.h"
 #include "pipeline/pipeline.h"
@@ -422,20 +421,6 @@ void BM_AddressStructure_HalfUsedJoin_Audited(benchmark::State& state) {
 }
 BENCHMARK(BM_AddressStructure_HalfUsedJoin_Audited)
     ->Unit(benchmark::kMillisecond);
-
-void BM_AddressStructure_ExactAggregate(benchmark::State& state) {
-  const auto net = managed_of_size(40);
-  const auto network = model::Network::build(synth::reparse(net.configs));
-  const auto subnets = network.interface_subnets();
-  for (auto _ : state) {
-    auto copy = subnets;
-    benchmark::DoNotOptimize(ip::aggregate_exact(std::move(copy)));
-  }
-  state.counters["subnets"] = static_cast<double>(subnets.size());
-  state.counters["roots"] = static_cast<double>(
-      ip::aggregate_exact(subnets).size());
-}
-BENCHMARK(BM_AddressStructure_ExactAggregate);
 
 // --- reachability and pathway ------------------------------------------------------
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "address_reference.h"
 #include "graph/address_space.h"
 #include "synth/emit.h"
 #include "synth/fleet.h"
@@ -107,16 +108,7 @@ TEST(AddressStructure, DuplicatesCollapse) {
 
 // --- the level-batched join against the one-join-per-pass loop ------------
 
-ip::Prefix lowest_common_ancestor(const ip::Prefix& a, const ip::Prefix& b) {
-  const std::uint32_t diff = a.network().value() ^ b.network().value();
-  int length = std::min(a.length(), b.length());
-  if (diff != 0) {
-    int highest = 31;
-    while (((diff >> highest) & 1u) == 0) --highest;
-    length = std::min(length, 31 - highest);
-  }
-  return ip::Prefix(a.network(), length);
-}
+using ip::reference::lowest_common_ancestor;
 
 /// The join rule as first written, kept as the reference: every pass
 /// rebuilds the prefix sums, scans every adjacent pair, and joins the one

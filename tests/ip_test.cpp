@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
+#include <vector>
 
-#include "ip/aggregate.h"
 #include "ip/ipv4.h"
 #include "ip/prefix_trie.h"
-#include "util/rng.h"
 
 namespace rd::ip {
 namespace {
@@ -281,139 +280,6 @@ TEST(PrefixTrie, HostRoutes) {
   EXPECT_EQ(*trie.longest_match(*Ipv4Address::parse("1.2.3.4")), 42);
   EXPECT_EQ(trie.longest_match(*Ipv4Address::parse("1.2.3.5")), nullptr);
 }
-
-// --- Aggregation ------------------------------------------------------------
-
-TEST(Aggregate, RemoveContained) {
-  auto out = remove_contained({*Prefix::parse("10.0.0.0/8"),
-                               *Prefix::parse("10.1.0.0/16"),
-                               *Prefix::parse("11.0.0.0/8"),
-                               *Prefix::parse("10.0.0.0/8")});
-  EXPECT_EQ(out, (std::vector<Prefix>{*Prefix::parse("10.0.0.0/8"),
-                                      *Prefix::parse("11.0.0.0/8")}));
-}
-
-TEST(Aggregate, ExactMergesBuddies) {
-  auto out = aggregate_exact({*Prefix::parse("10.0.0.0/24"),
-                              *Prefix::parse("10.0.1.0/24")});
-  EXPECT_EQ(out, (std::vector<Prefix>{*Prefix::parse("10.0.0.0/23")}));
-}
-
-TEST(Aggregate, ExactMergesRecursively) {
-  auto out = aggregate_exact(
-      {*Prefix::parse("10.0.0.0/24"), *Prefix::parse("10.0.1.0/24"),
-       *Prefix::parse("10.0.2.0/24"), *Prefix::parse("10.0.3.0/24")});
-  EXPECT_EQ(out, (std::vector<Prefix>{*Prefix::parse("10.0.0.0/22")}));
-}
-
-TEST(Aggregate, ExactDoesNotMergeNonBuddies) {
-  // 10.0.1.0/24 and 10.0.2.0/24 are adjacent but not buddies.
-  auto out = aggregate_exact({*Prefix::parse("10.0.1.0/24"),
-                              *Prefix::parse("10.0.2.0/24")});
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(Aggregate, ExactPreservesAddressSet) {
-  util::Rng rng(99);
-  std::vector<Prefix> input;
-  for (int i = 0; i < 200; ++i) {
-    const auto base = static_cast<std::uint32_t>(rng.next());
-    input.emplace_back(Ipv4Address(base),
-                       static_cast<int>(16 + rng.below(17)));
-  }
-  const auto output = aggregate_exact(input);
-  // Every input address range is covered by the output...
-  for (const Prefix& p : input) {
-    bool covered = false;
-    for (const Prefix& q : output) covered = covered || q.contains(p);
-    EXPECT_TRUE(covered) << p.to_string();
-  }
-  // ...and the output has no two mergeable or contained prefixes.
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    for (std::size_t j = i + 1; j < output.size(); ++j) {
-      EXPECT_FALSE(output[i].overlaps(output[j]));
-      EXPECT_FALSE(output[i].buddy() == output[j]);
-    }
-  }
-}
-
-TEST(Aggregate, HalfUsedJoinsNearbySubnets) {
-  // Two /24s two bits apart: the /22 is exactly half used -> joined.
-  auto out = cover_half_used({*Prefix::parse("10.0.0.0/24"),
-                              *Prefix::parse("10.0.2.0/24")});
-  EXPECT_EQ(out, (std::vector<Prefix>{*Prefix::parse("10.0.0.0/22")}));
-}
-
-TEST(Aggregate, HalfUsedRespectsTwoBitLimit) {
-  // Three bits apart: the join would need a /21 only 1/4 used -> no join.
-  auto out = cover_half_used({*Prefix::parse("10.0.0.0/24"),
-                              *Prefix::parse("10.0.4.0/24")});
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(Aggregate, HalfUsedBuildsHierarchy) {
-  // Four /26s inside one /24 plus a neighbour /24 -> one /23 root.
-  auto out = cover_half_used(
-      {*Prefix::parse("10.0.0.0/26"), *Prefix::parse("10.0.0.64/26"),
-       *Prefix::parse("10.0.0.128/26"), *Prefix::parse("10.0.0.192/26"),
-       *Prefix::parse("10.0.1.0/24")});
-  EXPECT_EQ(out, (std::vector<Prefix>{*Prefix::parse("10.0.0.0/23")}));
-}
-
-TEST(Aggregate, HalfUsedKeepsDistantBlocksApart) {
-  auto out = cover_half_used({*Prefix::parse("10.0.0.0/24"),
-                              *Prefix::parse("192.168.0.0/24")});
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(Aggregate, CoverAlwaysCoversInput) {
-  util::Rng rng(7);
-  std::vector<Prefix> input;
-  for (int i = 0; i < 150; ++i) {
-    const auto base = static_cast<std::uint32_t>(rng.next());
-    input.emplace_back(Ipv4Address(base),
-                       static_cast<int>(20 + rng.below(11)));
-  }
-  const auto output = cover_half_used(input);
-  for (const Prefix& p : input) {
-    bool covered = false;
-    for (const Prefix& q : output) covered = covered || q.contains(p);
-    EXPECT_TRUE(covered) << p.to_string();
-  }
-  // Output prefixes are mutually disjoint.
-  for (std::size_t i = 0; i < output.size(); ++i) {
-    for (std::size_t j = i + 1; j < output.size(); ++j) {
-      EXPECT_FALSE(output[i].overlaps(output[j]));
-    }
-  }
-}
-
-TEST(Aggregate, TotalAddresses) {
-  EXPECT_EQ(total_addresses({*Prefix::parse("10.0.0.0/24"),
-                             *Prefix::parse("10.1.0.0/30")}),
-            260u);
-}
-
-// Parameterized sweep: exact aggregation of a full run of /24s under one /16
-// always collapses to the covering prefix when the count is a power of two.
-class AggregateRunTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AggregateRunTest, FullRunsCollapse) {
-  const int log2_count = GetParam();
-  const int count = 1 << log2_count;
-  std::vector<Prefix> input;
-  for (int i = 0; i < count; ++i) {
-    input.emplace_back(Ipv4Address(0x0A000000u + (static_cast<std::uint32_t>(i) << 8)),
-                       24);
-  }
-  const auto out = aggregate_exact(input);
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].length(), 24 - log2_count);
-  EXPECT_EQ(out[0].network().to_string(), "10.0.0.0");
-}
-
-INSTANTIATE_TEST_SUITE_P(PowersOfTwo, AggregateRunTest,
-                         ::testing::Values(0, 1, 2, 3, 4, 5, 6, 7, 8));
 
 }  // namespace
 }  // namespace rd::ip
