@@ -1,11 +1,12 @@
 // Reachability-engine benchmarks: the naïve full-rescan fixpoint (the
-// differential oracle, `prop::run_naive`, called directly — no product
-// path reaches it) vs the semi-naïve delta-propagation engine behind
-// ReachabilityAnalysis (DESIGN.md §9) at three scales, plus the parallel
-// what-if sweep built on top of the faster core. The differential test
-// suite (reachability_differential_test) proves the two engines produce
-// identical outputs; these benchmarks measure the gap — EXPERIMENTS.md
-// records the headline numbers.
+// differential oracle `reference::run_naive` from
+// tests/fixpoint_reference.h — no product path reaches it) vs the
+// semi-naïve delta-propagation engine behind ReachabilityAnalysis
+// (DESIGN.md §9) at three scales, plus the parallel what-if sweep built on
+// top of the faster core. The differential test suite
+// (reachability_differential_test) proves the two engines produce identical
+// outputs; these benchmarks measure the gap — EXPERIMENTS.md records the
+// headline numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "analysis/propagation.h"
 #include "analysis/reachability.h"
 #include "analysis/whatif.h"
+#include "fixpoint_reference.h"
 #include "graph/instances.h"
 #include "model/network.h"
 #include "synth/archetypes.h"
@@ -104,7 +106,7 @@ void BM_Fixpoint_Naive(benchmark::State& state) {
         w.network, w.instances, {},
         prop::external_universe(w.network, w.options.external_prefixes));
     std::size_t total = 0;
-    for (const auto& routes : prop::run_naive(problem).routes) {
+    for (const auto& routes : analysis::reference::run_naive(problem).routes) {
       total += routes.size();
     }
     return total;

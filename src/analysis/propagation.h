@@ -24,8 +24,8 @@ inline bool operator<(const Route& a, const Route& b) noexcept {
 namespace rd::analysis::prop {
 
 /// Shared route-propagation machinery: the resolved rule set ("Problem"),
-/// the two fixpoint engines that evaluate it, the compiled policy chains,
-/// and the interned route domain. `ReachabilityAnalysis` is the static
+/// the fixpoint engine that evaluates it, the compiled policy chains, and
+/// the interned route domain. `ReachabilityAnalysis` is the static
 /// consumer; `rd::sim` replays the same Problem as a timed discrete-event
 /// process, which is why every element carries the router that owns it —
 /// failing a router masks exactly the elements it owns.
@@ -36,16 +36,6 @@ struct SessionPolicy {
   const config::RouterConfig* config = nullptr;
   const config::BgpNeighbor* neighbor = nullptr;
 };
-
-/// Interpreting evaluation (run_naive's path): named filters are
-/// re-resolved in the owning config on every call.
-bool session_permits(const SessionPolicy& policy, bool inbound,
-                     const model::Route& route);
-
-/// Stanza-level distribute-lists (IGP): apply all matching direction.
-bool stanza_permits(const config::RouterConfig& config,
-                    const config::RouterStanza& stanza, bool inbound,
-                    const model::Route& route);
 
 /// A route present in an instance from the start: interface/network-stanza
 /// origination or local-RIB redistribution. `router` is the originating
@@ -97,10 +87,11 @@ struct RedistEdge {
   std::size_t line = 0;  // 1-based line of the "redistribute" command
 };
 
-/// Both engines evaluate the same propagation rules; the Problem struct is
-/// the rule set resolved once — seeds, edges, endpoints — so the engines
-/// differ only in evaluation strategy. Policy pointers reference the
-/// network's configs; a Problem must not outlive its Network.
+/// The propagation rules resolved once — seeds, edges, endpoints — so every
+/// evaluator (the engine below, the simulator, the naïve oracle in
+/// tests/fixpoint_reference.h) differs only in evaluation strategy. Policy
+/// pointers reference the network's configs; a Problem must not outlive
+/// its Network.
 struct Problem {
   std::size_t instance_count = 0;
   std::size_t max_iterations = 0;
@@ -146,13 +137,6 @@ struct FixpointResult {
   bool converged = true;
 };
 
-/// The original full-rescan evaluator, kept byte-for-byte in semantics as
-/// the differential oracle: std::set storage, interpreting policy
-/// evaluation, deep-copied source sets, a global `changed` flag. No product
-/// path reaches it; the differential tests and BM_Fixpoint_Naive call it
-/// directly.
-FixpointResult run_naive(const Problem& problem);
-
 /// The semi-naïve fixpoint before materialization: the interned route
 /// domain and membership bitmaps over its positions. Bit `p` of a bitmap
 /// is set when the set holds `domain[p]`; bitmaps are sized lazily, so
@@ -197,7 +181,7 @@ FixpointResult run_semi_naive(const Problem& problem,
 
 /// One direction of a BGP session's policy chain, lowered to compiled
 /// matchers. Null members mean "permit" — absent filters and dangling name
-/// references alike, matching the interpreting path exactly.
+/// references alike, matching the interpreting oracle exactly.
 struct CompiledSessionDir {
   const model::CompiledAclFilter* distribute_list = nullptr;
   const model::CompiledPrefixList* prefix_list = nullptr;

@@ -30,7 +30,7 @@ namespace rd::analysis {
 /// source route once through policies compiled once per run
 /// (`model::PolicyCompiler`). The propagation rules are monotone (routes
 /// are only ever added), so the fixpoint is confluent: the full-rescan
-/// oracle `prop::run_naive`, which the differential tests call directly
+/// oracle in tests/fixpoint_reference.h, which the differential tests run
 /// on the same `prop::Problem`, and any edge-processing order produce
 /// identical route sets.
 class ReachabilityAnalysis {

@@ -1,9 +1,9 @@
 // Differential tests for the reachability engines: ReachabilityAnalysis
 // (the semi-naïve delta-propagation engine) must produce results identical
-// to the naïve full-rescan oracle `prop::run_naive`, called here directly
-// on the same `prop::Problem`, on every synthetic archetype, with any
-// endpoint subset, at any thread count, and under randomized edge
-// orderings. The propagation rules are monotone, so the fixpoint is
+// to the naïve full-rescan oracle `reference::run_naive`
+// (fixpoint_reference.h), called here directly on the same `prop::Problem`,
+// on every synthetic archetype, with any endpoint subset, at any thread
+// count, and under randomized edge orderings. The propagation rules are monotone, so the fixpoint is
 // confluent — identical outputs are a theorem the suite checks empirically.
 // The what-if sweep's count-only fixpoint (`ReachabilityAnalysis::summarize`)
 // must report the materialized fixpoint's figures on every scenario's
@@ -25,6 +25,7 @@
 #include "analysis/whatif.h"
 #include "config/parser.h"
 #include "failure_models.h"
+#include "fixpoint_reference.h"
 #include "graph/instances.h"
 #include "model/network.h"
 #include "pipeline/pipeline.h"
@@ -117,7 +118,7 @@ prop::Problem problem_for(const model::Network& network,
 
 /// The oracle's answer for a case under `options`.
 prop::FixpointResult oracle_for(const Case& c, const Options& options) {
-  return prop::run_naive(problem_for(c.network, c.instances, options));
+  return reference::run_naive(problem_for(c.network, c.instances, options));
 }
 
 /// A route set is internet-reaching when it holds the default route, which
@@ -201,7 +202,7 @@ TEST(ReachabilityDifferential, ShuffledEdgeOrderingsAreConfluent) {
   const auto cases = differential_cases();
   for (const auto* c : {&cases[1], &cases[5]}) {  // net15 + managed
     const auto problem = problem_for(c->network, c->instances, c->options);
-    const auto oracle = prop::run_naive(problem);
+    const auto oracle = reference::run_naive(problem);
     for (std::uint64_t s = 0; s < seeds; ++s) {
       const auto shuffled =
           prop::run_semi_naive(problem, s * 0x9e3779b97f4a7c15ULL + 1);
@@ -268,7 +269,7 @@ TEST(ReachabilityDifferential, WhatIfSweepIdenticalAcrossThreadsAndEngines) {
     impact.structural = test::rebuilt_impact(network, graph.set, s.failed);
     auto failed = s.failed;
     std::sort(failed.begin(), failed.end());
-    const auto result = prop::run_naive(
+    const auto result = reference::run_naive(
         test::failure_problem(network, failed, options).problem);
     for (const auto& routes : result.routes) {
       if (holds_default(routes)) ++impact.instances_reaching_internet;
@@ -458,8 +459,10 @@ TEST(ReachabilityDifferential, NonConvergenceIsSurfacedByBothEngines) {
   EXPECT_TRUE(done.convergence_warning().empty());
 
   EXPECT_FALSE(
-      prop::run_naive(problem_for(network, instances, truncated)).converged);
-  EXPECT_TRUE(prop::run_naive(problem_for(network, instances, full)).converged);
+      reference::run_naive(problem_for(network, instances, truncated))
+          .converged);
+  EXPECT_TRUE(
+      reference::run_naive(problem_for(network, instances, full)).converged);
 }
 
 TEST(ReachabilityDifferential, PipelineReportCarriesConvergence) {
